@@ -11,20 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import CONVENTIONS, __version__
 from .caseio import CaseFormatError, case_checksum, network_to_json, parse_case
-from .contingency import (
-    enumerate_contingencies,
-    evaluate_all,
-    DepthSummary,
-    SurvivabilityReport,
-)
+from .contingency import survivability
 from .ecomatrix import FlowType, RedundancyMode, build_eco_matrix, export_matrix
 from .ecometrics import metrics
 from .model import validate
@@ -40,15 +35,8 @@ class _DataError(Exception):
     """User-facing data problem; maps to exit status 1."""
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("ECOGRID_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def _load(args) -> tuple:
-    path = Path(args.case)
+def _load(case: str) -> tuple:
+    path = Path(case)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -64,22 +52,16 @@ def _load(args) -> tuple:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tolerance=getattr(args, "tol", 1e-8),
-        max_iterations=getattr(args, "max_iter", 30),
-    )
+    return SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
 
 
-def _metadata(args, checksum: str, **extra) -> dict:
-    md = {
-        "tool": "ecogrid",
-        "version": __version__,
-        "case": Path(args.case).name if hasattr(args, "case") else None,
-        "case_sha256": checksum,
-        "conventions": CONVENTIONS,
-    }
-    md.update(extra)
-    return md
+def _metadata(**fields) -> dict:
+    """The metadata block of every command's output: tool, version, conventions, fields."""
+    return {"tool": "ecogrid", "version": __version__, "conventions": CONVENTIONS, **fields}
+
+
+def _case_metadata(args, checksum: str, **fields) -> dict:
+    return _metadata(case=Path(args.case).name, case_sha256=checksum, **fields)
 
 
 def _emit(text: str, out: str | None):
@@ -92,17 +74,27 @@ def _emit(text: str, out: str | None):
 def _metadata_comments(md: dict) -> str:
     flat = {k: v for k, v in md.items() if k != "conventions"}
     lines = [f"# {k}: {v}" for k, v in sorted(flat.items())]
-    lines += [f"# convention {k}: {v}" for k, v in sorted(md.get("conventions", {}).items())]
+    lines += [f"# convention {k}: {v}" for k, v in sorted(md["conventions"].items())]
     return "\n".join(lines) + "\n"
 
 
+def _csv(md: dict, header: list[str], rows) -> str:
+    """CSV text under the metadata comment header."""
+    buf = io.StringIO()
+    buf.write(_metadata_comments(md))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _cmd_pf(args) -> int:
-    network, checksum = _load(args)
+    network, checksum = _load(args.case)
     if args.dump_network:
         Path(args.dump_network).write_text(network_to_json(network) + "\n")
     solution = solve(network, _solver_options(args))
     payload = {
-        "metadata": _metadata(args, checksum, tolerance=args.tol, max_iterations=args.max_iter),
+        "metadata": _case_metadata(args, checksum, tolerance=args.tol, max_iterations=args.max_iter),
         "converged": solution.converged,
         "iterations": solution.iterations,
         "max_mismatch_pu": solution.max_mismatch,
@@ -129,16 +121,11 @@ def _cmd_pf(args) -> int:
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     if args.csv:
-        buf = io.StringIO()
-        buf.write(_metadata_comments(payload["metadata"]))
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["branch", "from_bus", "to_bus", "P_from", "Q_from",
-                         "P_to", "Q_to", "S_from", "S_to"])
-        for _, f in sorted(solution.branch_flows.items()):
-            writer.writerow([f.branch_id, f.from_bus, f.to_bus] +
-                            [format(v, ".9f") for v in
-                             (f.P_from, f.Q_from, f.P_to, f.Q_to, f.S_from, f.S_to)])
-        Path(args.csv).write_text(buf.getvalue())
+        header = ["branch", "from_bus", "to_bus", "P_from", "Q_from", "P_to", "Q_to", "S_from", "S_to"]
+        rows = [[f.branch_id, f.from_bus, f.to_bus] +
+                [format(v, ".9f") for v in (f.P_from, f.Q_from, f.P_to, f.Q_to, f.S_from, f.S_to)]
+                for _, f in sorted(solution.branch_flows.items())]
+        Path(args.csv).write_text(_csv(payload["metadata"], header, rows))
     if not solution.converged:
         print(
             f"power flow diverged after {solution.iterations} iterations "
@@ -150,7 +137,7 @@ def _cmd_pf(args) -> int:
 
 
 def _solved(args):
-    network, checksum = _load(args)
+    network, checksum = _load(args.case)
     solution = solve(network, _solver_options(args))
     if not solution.converged:
         raise _DataError("power flow did not converge; cannot continue")
@@ -166,24 +153,16 @@ def _cmd_matrix(args) -> int:
         RedundancyMode.from_name(args.mode),
         absorbed_gen_q=args.absorbed_gen_q,
     )
-    md = _metadata(args, checksum, flow=args.flow, mode=args.mode,
-                   absorbed_gen_q=args.absorbed_gen_q)
+    md = _case_metadata(args, checksum, flow=args.flow, mode=args.mode,
+                        absorbed_gen_q=args.absorbed_gen_q)
     _emit(_metadata_comments(md) + export_matrix(matrix), args.out)
     return EXIT_OK
 
 
 def _metrics_entry(network, solution, flow: FlowType, mode: RedundancyMode, absorbed: str) -> dict:
     m = metrics(build_eco_matrix(network, solution, flow, mode, absorbed_gen_q=absorbed))
-    return {
-        "flow": flow.name.lower(),
-        "mode": mode.value,
-        "units": flow.value,
-        "tstp": m.tstp,
-        "asc": m.asc,
-        "dc": m.dc,
-        "ratio": m.ratio,
-        "robustness": m.robustness,
-    }
+    return {"flow": flow.name.lower(), "mode": mode.value, "units": flow.value,
+            **dataclasses.asdict(m)}
 
 
 def _cmd_reco(args) -> int:
@@ -197,26 +176,21 @@ def _cmd_reco(args) -> int:
     rows = [
         _metrics_entry(network, solution, f, m, args.absorbed_gen_q) for f, m in combos
     ]
-    md = _metadata(args, checksum, absorbed_gen_q=args.absorbed_gen_q)
+    md = _case_metadata(args, checksum, absorbed_gen_q=args.absorbed_gen_q)
     if args.csv:
-        buf = io.StringIO()
-        buf.write(_metadata_comments(md))
-        writer = csv.writer(buf, lineterminator="\n")
         header = ["flow", "mode", "units", "tstp", "asc", "dc", "ratio", "robustness"]
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow([r["flow"], r["mode"], r["units"]] +
-                            [format(r[k], ".9f") for k in header[3:]])
-        _emit(buf.getvalue(), args.out)
+        table = [[r["flow"], r["mode"], r["units"]] + [format(r[k], ".9f") for k in header[3:]]
+                 for r in rows]
+        _emit(_csv(md, header, table), args.out)
     else:
         _emit(json.dumps({"metadata": md, "results": rows}, sort_keys=True, indent=2), args.out)
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    network, checksum, _ = _solved(args)
+    network, checksum = _load(args.case)
     report = case_report(Path(args.case).stem, network, _solver_options(args), checksum=checksum)
-    md = _metadata(args, checksum)
+    md = _case_metadata(args, checksum)
     if args.format == "json":
         _emit(json.dumps({"metadata": md, **comparison_report([report])}, sort_keys=True, indent=2),
               args.out)
@@ -233,47 +207,19 @@ def _worst(violations) -> str:
 
 
 def _cmd_contingency(args) -> int:
-    network, checksum = _load(args)
-    options = _solver_options(args)
+    network, checksum = _load(args.case)
     classes = [c for c in args.classes.split(",") if c]
-    jobs = args.jobs
-    summaries = []
-    csv_rows = []
-    for depth in range(1, args.depth + 1):
-        try:
-            specs = enumerate_contingencies(network, depth, classes, cap=args.cap, seed=args.seed)
-        except ValueError as exc:
-            raise _DataError(str(exc)) from exc
-        results = evaluate_all(network, specs, options, jobs=jobs)
-        summaries.append(
-            DepthSummary(
-                depth=depth,
-                total_contingencies=len(results),
-                num_violations=sum(len(r.violations) for r in results),
-                num_violated_contingencies=sum(1 for r in results if r.violations),
-                num_unsolved=sum(1 for r in results if r.status == "unsolved"),
-            )
-        )
-        for r in results:
-            csv_rows.append(
-                [depth, " ".join(r.spec.tokens()), r.status, len(r.violations), _worst(r.violations)]
-            )
-    report = SurvivabilityReport(
-        tuple(summaries), tuple(c.strip() for c in classes), args.cap, args.seed
-    )
-    payload = {
-        "metadata": _metadata(args, checksum, seed=args.seed, cap=args.cap,
-                              classes=classes, jobs_independent=True),
-        "survivability": report.to_dict(),
-    }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    report = survivability(network, args.depth, classes, _solver_options(args),
+                           cap=args.cap, seed=args.seed, jobs=args.jobs)
+    md = _case_metadata(args, checksum, seed=args.seed, cap=args.cap,
+                        classes=list(report.classes), jobs_independent=True)
+    _emit(json.dumps({"metadata": md, "survivability": report.to_dict()}, sort_keys=True, indent=2),
+          args.out)
     if args.csv:
-        buf = io.StringIO()
-        buf.write(_metadata_comments(payload["metadata"]))
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["depth", "outage", "status", "violations", "worst_violation"])
-        writer.writerows(csv_rows)
-        Path(args.csv).write_text(buf.getvalue())
+        rows = [[d.depth, " ".join(r.spec.tokens()), r.status, len(r.violations), _worst(r.violations)]
+                for d in report.depths for r in d.results]
+        header = ["depth", "outage", "status", "violations", "worst_violation"]
+        Path(args.csv).write_text(_csv(md, header, rows))
     return EXIT_OK
 
 
@@ -281,9 +227,7 @@ def _cmd_report(args) -> int:
     reports = []
     checksums = []
     for case in args.case:
-        sub = argparse.Namespace(**vars(args))
-        sub.case = case
-        network, checksum = _load(sub)
+        network, checksum = _load(case)
         checksums.append(checksum)
         reports.append(
             case_report(
@@ -297,21 +241,12 @@ def _cmd_report(args) -> int:
                 jobs=args.jobs,
             )
         )
-    md = {
-        "tool": "ecogrid",
-        "version": __version__,
-        "cases": [Path(c).name for c in args.case],
-        "case_sha256": checksums,
-        "conventions": CONVENTIONS,
-        "seed": args.seed,
-    }
+    md = _metadata(cases=[Path(c).name for c in args.case], case_sha256=checksums, seed=args.seed)
     if args.format == "json":
         _emit(json.dumps({"metadata": md, **comparison_report(reports)}, sort_keys=True, indent=2),
               args.out)
     else:
-        head = "\n".join(f"# {k}: {v}" for k, v in sorted(md.items()) if k != "conventions")
-        conv = "\n".join(f"# convention {k}: {v}" for k, v in sorted(CONVENTIONS.items()))
-        _emit(head + "\n" + conv + "\n" + comparison_csv(reports), args.out)
+        _emit(_metadata_comments(md) + comparison_csv(reports), args.out)
     return EXIT_OK
 
 
@@ -388,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None,
                    help="sample at most this many contingencies per depth")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=int, default=1,
                    help="parallel evaluations (result-identical for any value)")
     p.add_argument("--out", help="survivability JSON path (default stdout)")
     p.add_argument("--csv", help="per-contingency CSV path")
@@ -402,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include survivability up to this depth")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_report)

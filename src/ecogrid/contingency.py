@@ -61,11 +61,26 @@ class ContingencyResult:
 
 @dataclass(frozen=True)
 class DepthSummary:
+    """One depth's per-contingency results; the counters derive from them."""
+
     depth: int
-    total_contingencies: int
-    num_violations: int
-    num_violated_contingencies: int
-    num_unsolved: int
+    results: tuple[ContingencyResult, ...]
+
+    @property
+    def total_contingencies(self) -> int:
+        return len(self.results)
+
+    @property
+    def num_violations(self) -> int:
+        return sum(len(r.violations) for r in self.results)
+
+    @property
+    def num_violated_contingencies(self) -> int:
+        return sum(1 for r in self.results if r.violations)
+
+    @property
+    def num_unsolved(self) -> int:
+        return sum(1 for r in self.results if r.status == "unsolved")
 
 
 @dataclass(frozen=True)
@@ -173,9 +188,9 @@ def evaluate(
 ) -> ContingencyResult:
     """Apply the outage, re-solve, and classify.
 
-    Unsolved means static infeasibility: Newton divergence (after one
-    flat-start retry when the first attempt was warm), a slack island
-    with no in-service unit, or aggregate P_max below the island load.
+    Unsolved means static infeasibility: Newton divergence, a slack
+    island with no in-service unit, or aggregate P_max below the island
+    load.
     Load stranded on non-slack islands is a violation of the solved case,
     not an unsolved one.
     """
@@ -194,8 +209,6 @@ def evaluate(
 
     try:
         solution = solve(outaged, options)
-        if not solution.converged and not options.flat_start:
-            solution = solve(outaged, SolverOptions(options.tolerance, options.max_iterations, True))
     except PowerFlowError:
         return ContingencyResult(spec, "unsolved", (), 0)
     if not solution.converged:
@@ -248,21 +261,12 @@ def survivability(
     seed: int = 0,
     jobs: int = 1,
 ) -> SurvivabilityReport:
-    """Aggregate solved/violated/unsolved counters for x = 1..max_depth."""
+    """Evaluate x = 1..max_depth and keep each depth's results and counters."""
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     classes = _normalize_classes(classes)
     summaries = []
     for depth in range(1, max_depth + 1):
         specs = enumerate_contingencies(network, depth, classes, cap=cap, seed=seed)
-        results = evaluate_all(network, specs, options, jobs=jobs)
-        summaries.append(
-            DepthSummary(
-                depth=depth,
-                total_contingencies=len(results),
-                num_violations=sum(len(r.violations) for r in results),
-                num_violated_contingencies=sum(1 for r in results if r.violations),
-                num_unsolved=sum(1 for r in results if r.status == "unsolved"),
-            )
-        )
+        summaries.append(DepthSummary(depth, tuple(evaluate_all(network, specs, options, jobs=jobs))))
     return SurvivabilityReport(tuple(summaries), classes, cap, seed)

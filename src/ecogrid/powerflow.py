@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .model import Branch, BusKind, Network
+from .model import Branch, BusKind, Network, connected_components
 
 
 class PowerFlowError(RuntimeError):
@@ -31,7 +31,6 @@ class SingularJacobianError(PowerFlowError):
 class SolverOptions:
     tolerance: float = 1e-8
     max_iterations: int = 30
-    flat_start: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -46,9 +45,6 @@ class AdmittanceMatrix:
 
     bus_ids: tuple[int, ...]
     matrix: sp.csr_matrix
-
-    def index_of(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
 
 
 @dataclass(frozen=True)
@@ -218,8 +214,6 @@ def solve(network: Network, options: SolverOptions | None = None) -> PowerFlowSo
     ran out of iterations is returned with converged=False.
     """
     options = options or SolverOptions()
-    from .model import connected_components
-
     islands = connected_components(network)
     slack_ids = sorted(b.id for b in network.slack_buses)
     if not slack_ids:
@@ -236,7 +230,8 @@ def solve(network: Network, options: SolverOptions | None = None) -> PowerFlowSo
     base = network.base_MVA
 
     adm = build_admittance(network)
-    sel = [adm.bus_ids.index(bid) for bid in ids]
+    adm_pos = {bid: i for i, bid in enumerate(adm.bus_ids)}
+    sel = [adm_pos[bid] for bid in ids]
     Ybus = adm.matrix[sel, :][:, sel].tocsr()
 
     gens_by_bus = {
@@ -268,8 +263,6 @@ def solve(network: Network, options: SolverOptions | None = None) -> PowerFlowSo
 
     Vm = np.ones(n)
     Va = np.zeros(n)
-    if not options.flat_start:
-        Vm = np.array([network.bus_by_id[b].voltage_magnitude_setpoint for b in ids])
     for i, bid in enumerate(ids):
         if i in pv_set or i == slack_idx:
             Vm[i] = _pilot_voltage(network, bid)
@@ -411,6 +404,7 @@ def nodal_mismatch(
     where every entry is ~0 including slack and PV buses.
     """
     ids = [b.id for b in network.buses]
+    pos = {bid: i for i, bid in enumerate(ids)}
     adm = build_admittance(network)
     V = np.array(
         [voltage_magnitude[b] * cmath.exp(1j * voltage_angle[b]) for b in ids]
@@ -425,6 +419,6 @@ def nodal_mismatch(
             continue
         p = generator_P[g.id] if generator_P is not None else g.P_out
         q = generator_Q[g.id] if generator_Q is not None else g.Q_out
-        sched[ids.index(g.bus)] += complex(p, q) / base
+        sched[pos[g.bus]] += complex(p, q) / base
     mis = sched - V * np.conj(adm.matrix @ V)
     return {bid: (float(mis[i].real), float(mis[i].imag)) for i, bid in enumerate(ids)}

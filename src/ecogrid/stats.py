@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .contingency import SurvivabilityReport, survivability
 from .ecomatrix import FlowType, RedundancyMode, build_eco_matrix
 from .ecometrics import EcoMetrics, metrics
 from .model import Network
-from .powerflow import BranchFlow, PowerFlowSolution, SolverOptions, solve
+from .powerflow import BranchFlow, PowerFlowError, PowerFlowSolution, SolverOptions, solve
 
 # Table-style column headers, one (mean, std) pair per flow type
 STAT_COLUMNS = ("Mean(pf)", "STD(pf)", "Mean(rf)", "STD(rf)", "Mean(MVA)", "STD(MVA)")
@@ -72,21 +72,9 @@ class CaseReport:
 
     def to_dict(self) -> dict:
         out: dict = {"case": self.case, "checksum": self.checksum}
-        out["robustness"] = {
-            f"{flow.name.lower()}_{mode.value}": m.robustness
-            for (flow, mode), m in sorted(
-                self.reco.items(), key=lambda kv: (kv[0][0].name, kv[0][1].value)
-            )
-        }
-        out["metrics"] = {
-            f"{flow.name.lower()}_{mode.value}": {
-                "tstp": m.tstp, "asc": m.asc, "dc": m.dc,
-                "ratio": m.ratio, "robustness": m.robustness,
-            }
-            for (flow, mode), m in sorted(
-                self.reco.items(), key=lambda kv: (kv[0][0].name, kv[0][1].value)
-            )
-        }
+        reco = {f"{flow.name.lower()}_{mode.value}": m for (flow, mode), m in self.reco.items()}
+        out["robustness"] = {key: m.robustness for key, m in reco.items()}
+        out["metrics"] = {key: asdict(m) for key, m in reco.items()}
         stats_row = {}
         for flow, st in self.stats.items():
             mean_key, std_key = _STAT_KEYS[flow]
@@ -113,7 +101,7 @@ def case_report(
     """Solve one case and assemble its comparison row."""
     solution = solve(network, options)
     if not solution.converged:
-        raise RuntimeError(f"case {name}: power flow did not converge")
+        raise PowerFlowError(f"case {name}: power flow did not converge")
     reco = {
         (flow, mode): metrics(build_eco_matrix(network, solution, flow, mode))
         for flow in FlowType

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from conftest import TWOBUS_PQ_TEXT
+from ecogrid.caseio import load_case
 from ecogrid.cases import case_path
 from ecogrid.cli import main
+from ecogrid.contingency import survivability
 from ecogrid.ecomatrix import import_matrix
 
 IEEE24 = str(case_path("ieee24_rts"))
@@ -17,6 +19,14 @@ TWOBUS = str(case_path("twobus"))
 def twobus_file(tmp_path):
     p = tmp_path / "twobus_pq.m"
     p.write_text(TWOBUS_PQ_TEXT)
+    return str(p)
+
+
+@pytest.fixture
+def sick_file(tmp_path):
+    """Two-bus case whose load is too heavy for the power flow to converge."""
+    p = tmp_path / "sick.m"
+    p.write_text(TWOBUS_PQ_TEXT.replace("2\t1\t100", "2\t1\t9000"))
     return str(p)
 
 
@@ -50,10 +60,8 @@ class TestPf:
         net = network_from_json(net_path.read_text())
         assert len(net.buses) == 2
 
-    def test_divergence_exits_two(self, tmp_path):
-        sick = tmp_path / "sick.m"
-        sick.write_text(TWOBUS_PQ_TEXT.replace("2\t1\t100", "2\t1\t9000"))
-        assert main(["pf", "--case", str(sick), "--out", str(tmp_path / "x.json")]) == 2
+    def test_divergence_exits_two(self, tmp_path, sick_file):
+        assert main(["pf", "--case", sick_file, "--out", str(tmp_path / "x.json")]) == 2
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["pf", "--case", str(tmp_path / "nope.m")]) == 1
@@ -164,6 +172,16 @@ class TestContingencyCommand:
         assert payload["metadata"]["cap"] == 10
         assert payload["survivability"]["depths"][0]["total_contingencies"] == 10
 
+    def test_matches_library_survivability(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["contingency", "--case", IEEE24, "--classes", "gen,branch", "--depth", "1",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        network, _ = load_case(IEEE24)
+        expected = survivability(network, 1, ("branch", "generator")).to_dict()
+        assert payload["survivability"] == expected
+        assert payload["metadata"]["classes"] == ["branch", "generator"]
+
 
 class TestReportCommand:
     def test_multi_case_json(self, tmp_path, twobus_file, capsys):
@@ -177,3 +195,9 @@ class TestReportCommand:
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         header = rows[0].split(",")
         assert "violations" in header and "unsolved" in header
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_divergence_exits_one_with_error_line(command, sick_file, capsys):
+    assert main([command, "--case", sick_file]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
