@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except (CaseFormatError, KeyError, ValueError, PowerFlowError, OSError) as exc:
+    except (CaseFormatError, ValueError, PowerFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

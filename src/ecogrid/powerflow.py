@@ -124,15 +124,94 @@ def build_admittance(network: Network) -> AdmittanceMatrix:
     return AdmittanceMatrix(bus_ids=bus_ids, matrix=matrix)
 
 
-def dSbus_dV(Ybus: sp.spmatrix, V: np.ndarray) -> tuple[sp.spmatrix, sp.spmatrix]:
-    """Partials of complex bus injections w.r.t. voltage angle and magnitude."""
-    Ibus = Ybus @ V
-    diagV = sp.diags(V)
-    diagI = sp.diags(Ibus)
-    diagVnorm = sp.diags(V / np.abs(V))
-    dS_dVa = 1j * diagV @ (diagI - Ybus @ diagV).conjugate()
-    dS_dVm = diagV @ (Ybus @ diagVnorm).conjugate() + diagI.conjugate() @ diagVnorm
-    return dS_dVa, dS_dVm
+class _Jacobian:
+    """Polar Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] over pvpq/pq.
+
+    The CSC structure is built once from the pattern of Ybus plus its
+    diagonal; each call refills only the values. The derivatives are
+    MATPOWER's dSbus_dV taken entry by entry, with every complex product
+    written out in real arithmetic as scipy's sparse kernels compute it, so
+    the matrix equals the one assembled from scipy.sparse products bit for
+    bit and SuperLU picks the same column ordering.
+    """
+
+    def __init__(self, Ybus: sp.csr_matrix, pvpq: np.ndarray, pq: np.ndarray):
+        n = Ybus.shape[0]
+        Y = Ybus.tocoo()
+        off = Y.row != Y.col
+        self.n_off = int(off.sum())
+        self.rows = np.concatenate([Y.row[off], np.arange(n)])
+        self.cols = np.concatenate([Y.col[off], np.arange(n)])
+        y = np.concatenate([Y.data[off], Ybus.diagonal()])
+        self.y_re, self.y_im = y.real.copy(), y.imag.copy()
+
+        # J row of each bus's P (Q) equation = J column of its angle (magnitude)
+        npvpq = len(pvpq)
+        m = npvpq + len(pq)
+        angle = np.full(n, -1)
+        angle[pvpq] = np.arange(npvpq)
+        magnitude = np.full(n, -1)
+        magnitude[pq] = np.arange(npvpq, m)
+        # J11, J12, J21, J22 read rows 0-3 of dS_dV(): Re dVa, Re dVm, Im dVa, Im dVm
+        npat = len(self.rows)
+        pick, at_row, at_col = [], [], []
+        for source, (row_of, col_of) in enumerate(
+            [(angle, angle), (angle, magnitude), (magnitude, angle), (magnitude, magnitude)]
+        ):
+            r, c = row_of[self.rows], col_of[self.cols]
+            ok = (r >= 0) & (c >= 0)
+            pick.append(source * npat + np.flatnonzero(ok))
+            at_row.append(r[ok])
+            at_col.append(c[ok])
+        at_row, at_col = np.concatenate(at_row), np.concatenate(at_col)
+        order = np.lexsort((at_row, at_col))
+        self.pick = np.concatenate(pick)[order]
+        self.indices = at_row[order].astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(at_col, minlength=m))]
+        ).astype(np.int32)
+        self.shape = (m, m)
+
+    def dS_dV(self, V: np.ndarray, Ibus: np.ndarray) -> np.ndarray:
+        """Rows Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm on the pattern."""
+        r, c, yr, yi = self.rows, self.cols, self.y_re, self.y_im
+        diag = slice(self.n_off, None)
+        Vn = V / np.abs(V)
+        vr, vi = V.real[r], V.imag[r]
+        cr, ci = V.real[c], V.imag[c]
+        nr, ni = Vn.real[c], Vn.imag[c]
+        # d = -y*V_c, plus I_i on the diagonal
+        d_re = yi * ci - yr * cr
+        d_im = -(yr * ci + yi * cr)
+        d_re[diag] += Ibus.real
+        d_im[diag] += Ibus.imag
+        # q = y*Vn_c
+        q_re = yr * nr - yi * ni
+        q_im = yr * ni + yi * nr
+        out = np.empty((4, len(r)))
+        # dS/dVa = 1j*V_r*conj(d)
+        out[0] = vr * d_im - vi * d_re
+        out[2] = vi * d_im + vr * d_re
+        # dS/dVm = V_r*conj(q), plus conj(I_i)*Vn_i on the diagonal
+        out[1] = vr * q_re + vi * q_im
+        out[3] = vi * q_re - vr * q_im
+        out[1, diag] += Ibus.real * Vn.real + Ibus.imag * Vn.imag
+        out[3, diag] += Ibus.real * Vn.imag - Ibus.imag * Vn.real
+        return out
+
+    def __call__(self, V: np.ndarray, Ibus: np.ndarray) -> sp.csc_matrix:
+        """The Jacobian at V, given the bus currents Ibus = Ybus @ V."""
+        values = self.dS_dV(V, Ibus)
+        data = values.ravel()[self.pick]
+        indices, indptr = self.indices, self.indptr
+        stored = (values[:2] != 0) | (values[2:] != 0)
+        if not stored.all():
+            # scipy's products store no exact zero, e.g. where Ybus holds a
+            # stored zero or cancelling branches meet a flat start
+            keep = stored.ravel()[self.pick % stored.size]
+            data, indices = data[keep], indices[keep]
+            indptr = np.concatenate([[0], np.cumsum(keep)[indptr[1:] - 1]])
+        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
 
 
 def _newton(Ybus, Sbus, V0, pv, pq, tol, max_iter):
@@ -141,26 +220,22 @@ def _newton(Ybus, Sbus, V0, pv, pq, tol, max_iter):
     Vm = np.abs(V)
     Va = np.angle(V)
     pvpq = np.concatenate([pv, pq])
-    npvpq, npq = len(pvpq), len(pq)
+    npvpq = len(pvpq)
+    jacobian = _Jacobian(Ybus, pvpq, pq)
 
     def mismatch(V):
-        mis = V * np.conj(Ybus @ V) - Sbus
-        return np.concatenate([mis[pvpq].real, mis[pq].imag])
+        Ibus = Ybus @ V
+        mis = V * np.conj(Ibus) - Sbus
+        return Ibus, np.concatenate([mis[pvpq].real, mis[pq].imag])
 
-    F = mismatch(V)
+    Ibus, F = mismatch(V)
     norm = float(np.max(np.abs(F))) if F.size else 0.0
     converged = norm < tol
     iterations = 0
     while not converged and iterations < max_iter:
         iterations += 1
-        dS_dVa, dS_dVm = dSbus_dV(Ybus, V)
-        J11 = dS_dVa[np.ix_(pvpq, pvpq)].real
-        J12 = dS_dVm[np.ix_(pvpq, pq)].real
-        J21 = dS_dVa[np.ix_(pq, pvpq)].imag
-        J22 = dS_dVm[np.ix_(pq, pq)].imag
-        J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
         try:
-            dx = -splu(J).solve(F)
+            dx = -splu(jacobian(V, Ibus)).solve(F)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularJacobianError(str(exc)) from exc
         if not np.all(np.isfinite(dx)):
@@ -168,7 +243,7 @@ def _newton(Ybus, Sbus, V0, pv, pq, tol, max_iter):
         Va[pvpq] += dx[:npvpq]
         Vm[pq] += dx[npvpq:]
         V = Vm * np.exp(1j * Va)
-        F = mismatch(V)
+        Ibus, F = mismatch(V)
         norm = float(np.max(np.abs(F))) if F.size else 0.0
         converged = norm < tol
     return V, converged, iterations, norm

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import TWOBUS_PQ_TEXT
+from ecogrid import cli
 from ecogrid.caseio import load_case
 from ecogrid.cases import case_path
 from ecogrid.cli import main
@@ -201,3 +202,12 @@ class TestReportCommand:
 def test_divergence_exits_one_with_error_line(command, sick_file, capsys):
     assert main([command, "--case", sick_file]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_programming_errors_are_not_reported_as_data_errors(monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_cmd_reco", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["reco", "--case", TWOBUS, "--all"])

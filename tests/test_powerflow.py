@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_network
+from ecogrid import powerflow
 from ecogrid.model import Branch, Bus, BusKind, Generator, Network, OutageSet, apply_outage
 from ecogrid.powerflow import (
     PowerFlowError,
     SolverOptions,
+    _Jacobian,
     branch_flows,
     build_admittance,
-    dSbus_dV,
     nodal_mismatch,
     solve,
 )
@@ -284,7 +286,142 @@ class TestMismatch:
         assert count > 15
 
 
+def reference_dSbus_dV(Ybus, V):
+    """MATPOWER's dSbus_dV assembled from scipy.sparse products."""
+    Ibus = Ybus @ V
+    diagV = sp.diags(V)
+    diagI = sp.diags(Ibus)
+    diagVnorm = sp.diags(V / np.abs(V))
+    dS_dVa = 1j * diagV @ (diagI - Ybus @ diagV).conjugate()
+    dS_dVm = diagV @ (Ybus @ diagVnorm).conjugate() + diagI.conjugate() @ diagVnorm
+    return dS_dVa, dS_dVm
+
+
+def reference_jacobian(Ybus, V, pvpq, pq):
+    """The polar Jacobian as the solver assembled it before the fixed-pattern kernel."""
+    dS_dVa, dS_dVm = reference_dSbus_dV(Ybus, V)
+    J11 = dS_dVa[np.ix_(pvpq, pvpq)].real
+    J12 = dS_dVm[np.ix_(pvpq, pq)].real
+    J21 = dS_dVa[np.ix_(pq, pvpq)].imag
+    J22 = dS_dVm[np.ix_(pq, pq)].imag
+    return sp.bmat([[J11, J12], [J21, J22]], format="csc")
+
+
+def kernel_dSbus_dV(Ybus, V):
+    """The kernel's dS/dVa and dS/dVm as dense matrices."""
+    n = Ybus.shape[0]
+    jacobian = _Jacobian(Ybus, np.arange(n), np.arange(0))  # J's layout is unused
+    values = jacobian.dS_dV(V, Ybus @ V)
+    dS_dVa = np.zeros((n, n), dtype=complex)
+    dS_dVm = np.zeros((n, n), dtype=complex)
+    dS_dVa[jacobian.rows, jacobian.cols] = values[0] + 1j * values[2]
+    dS_dVm[jacobian.rows, jacobian.cols] = values[1] + 1j * values[3]
+    return dS_dVa, dS_dVm
+
+
+def assert_jacobian_matches_reference(Ybus, V, pvpq, pq):
+    J = _Jacobian(Ybus, pvpq, pq)(V, Ybus @ V)
+    ref = reference_jacobian(Ybus, V, pvpq, pq)
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.array_equal(J.data, ref.data)
+    assert J.data.tobytes() == ref.data.tobytes()  # the signs of zeros too
+
+
+def newton_rounds(monkeypatch, network):
+    """(Ybus, pvpq, pq, [V of each Newton iteration]) for each round of solve()."""
+    rounds = []
+
+    class Recording(_Jacobian):
+        def __init__(self, Ybus, pvpq, pq):
+            super().__init__(Ybus, pvpq, pq)
+            self.iterates = []
+            rounds.append((Ybus, pvpq, pq, self.iterates))
+
+        def __call__(self, V, Ibus):
+            self.iterates.append(V.copy())
+            return super().__call__(V, Ibus)
+
+    monkeypatch.setattr(powerflow, "_Jacobian", Recording)
+    try:
+        solve(network)
+    except PowerFlowError:
+        pass
+    return rounds
+
+
+def assert_kernel_matches_reference_along_solve(monkeypatch, network, rng):
+    checked = 0
+    for Ybus, pvpq, pq, iterates in newton_rounds(monkeypatch, network):
+        # every Newton iterate, the first being the flat start, plus a perturbed one
+        V = iterates[0] if iterates else np.ones(Ybus.shape[0], dtype=complex)
+        perturbed = np.abs(V) * rng.uniform(0.95, 1.05, V.size) * np.exp(
+            1j * (np.angle(V) + rng.uniform(-0.2, 0.2, V.size))
+        )
+        for point in [*iterates, perturbed]:
+            assert_jacobian_matches_reference(Ybus, point, pvpq, pq)
+            checked += 1
+    return checked
+
+
 class TestJacobian:
+    def test_kernel_equals_scipy_assembly_on_ieee24_and_every_n1_outage(
+        self, ieee24, monkeypatch
+    ):
+        rng = np.random.default_rng(0)
+        outages = [OutageSet.of(branches=[br.id]) for br in ieee24.branches]
+        outages += [OutageSet.of(generators=[g.id]) for g in ieee24.generators]
+        checked = assert_kernel_matches_reference_along_solve(monkeypatch, ieee24, rng)
+        assert checked > 1
+        for outage in outages:
+            net = apply_outage(ieee24, outage)
+            checked += assert_kernel_matches_reference_along_solve(monkeypatch, net, rng)
+        assert checked > 3 * len(outages)
+
+    def test_kernel_equals_scipy_assembly_on_random_networks(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(30):
+            net = random_network(rng)
+            checked += assert_kernel_matches_reference_along_solve(monkeypatch, net, rng)
+        assert checked > 60
+
+    @pytest.mark.parametrize("layout", ["parallel", "series"])
+    def test_exact_zeros_are_no_jacobian_entries(self, layout, monkeypatch):
+        """A -0.2 reactance cancels a +0.2 one exactly.
+
+        In parallel (2-3 twice) Ybus stores a zero between buses 2 and 3. In
+        series (1-2-3) bus 2's own admittance is a stored zero, and so are its
+        diagonal derivatives at flat start. Branch 1-3 carries the power.
+        """
+        cancelling = {
+            "parallel": (
+                Branch(id=1, from_bus=2, to_bus=3, r=0.0, x=0.2),
+                Branch(id=2, from_bus=2, to_bus=3, r=0.0, x=-0.2),
+                Branch(id=4, from_bus=1, to_bus=2, r=0.01, x=0.1),
+            ),
+            "series": (
+                Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.2),
+                Branch(id=2, from_bus=2, to_bus=3, r=0.0, x=-0.2),
+            ),
+        }[layout]
+        buses = (
+            Bus(id=1, kind=BusKind.SLACK),
+            Bus(id=2, kind=BusKind.PQ, load_P=20.0, load_Q=5.0),
+            Bus(id=3, kind=BusKind.PQ, load_P=10.0),
+        )
+        gens = (Generator(id=1, bus=1, P_out=30.0, Q_min=-100, Q_max=100, P_max=100),)
+        branches = (*cancelling, Branch(id=3, from_bus=1, to_bus=3, r=0.01, x=0.1))
+        net = Network("cancel", 100.0, buses, gens, branches)
+        Y = build_admittance(net).matrix
+        assert 0 in Y.data
+        rng = np.random.default_rng(1)
+        assert assert_kernel_matches_reference_along_solve(monkeypatch, net, rng) > 2
+        assert solve(net).converged
+        jacobian = _Jacobian(Y, np.array([1, 2]), np.array([1, 2]))
+        V = np.ones(3, dtype=complex)
+        assert jacobian(V, Y @ V).nnz < len(jacobian.pick)
+
     def test_injection_derivatives_match_central_differences(self):
         rng = np.random.default_rng(5)
         for _ in range(8):
@@ -294,7 +431,7 @@ class TestJacobian:
             va = {b: float(rng.uniform(-0.1, 0.1)) for b in ids}
             Y = build_admittance(net).matrix
             V = np.array([vm[b] * np.exp(1j * va[b]) for b in ids])
-            dS_dVa, dS_dVm = dSbus_dV(Y, V)
+            dS_dVa, dS_dVm = kernel_dSbus_dV(Y, V)
             h = 1e-6
             for k in rng.choice(len(ids), size=3, replace=False):
                 for which, analytic in (("angle", dS_dVa), ("mag", dS_dVm)):
