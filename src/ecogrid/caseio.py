@@ -10,11 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .model import Branch, Bus, BusKind, Generator, Network
 
 _BUS_KIND_BY_CODE = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK, 4: BusKind.PQ}
+_RECORD_TYPES = {"buses": Bus, "generators": Generator, "branches": Branch}
 
 _BASE_RE = re.compile(r"^\s*(?:mpc\.)?baseMVA\s*=\s*([0-9eE.+-]+)\s*;?\s*$")
 _TABLE_RE = re.compile(r"^\s*(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
@@ -199,109 +201,38 @@ def case_checksum(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _json_record(record) -> dict:
+    row = asdict(record)
+    if isinstance(record, Bus):
+        row["kind"] = record.kind.value
+    return row
+
+
+def _record(cls, row) -> Bus | Generator | Branch:
+    names = {f.name for f in fields(cls)}
+    if not isinstance(row, dict) or row.keys() != names:
+        raise TypeError(f"{cls.__name__} record needs exactly the fields {sorted(names)}")
+    if cls is Bus:
+        row = {**row, "kind": BusKind(row["kind"])}
+    return cls(**row)
+
+
 def network_to_json(network: Network) -> str:
     """Canonical JSON rendering of a Network (field names match the model)."""
-    payload = {
-        "name": network.name,
-        "base_MVA": network.base_MVA,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "voltage_magnitude_setpoint": b.voltage_magnitude_setpoint,
-                "load_P": b.load_P,
-                "load_Q": b.load_Q,
-                "shunt_G": b.shunt_G,
-                "shunt_B": b.shunt_B,
-                "v_min": b.v_min,
-                "v_max": b.v_max,
-                "base_kV": b.base_kV,
-            }
-            for b in network.buses
-        ],
-        "generators": [
-            {
-                "id": g.id,
-                "bus": g.bus,
-                "P_out": g.P_out,
-                "Q_out": g.Q_out,
-                "Q_min": g.Q_min,
-                "Q_max": g.Q_max,
-                "P_min": g.P_min,
-                "P_max": g.P_max,
-                "in_service": g.in_service,
-                "voltage_setpoint": g.voltage_setpoint,
-            }
-            for g in network.generators
-        ],
-        "branches": [
-            {
-                "id": br.id,
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "r": br.r,
-                "x": br.x,
-                "b_charging": br.b_charging,
-                "rate_MVA": br.rate_MVA,
-                "tap_ratio": br.tap_ratio,
-                "phase_shift": br.phase_shift,
-                "in_service": br.in_service,
-            }
-            for br in network.branches
-        ],
-    }
+    payload = {"name": network.name, "base_MVA": network.base_MVA}
+    for key in _RECORD_TYPES:
+        payload[key] = [_json_record(r) for r in getattr(network, key)]
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def network_from_json(text: str) -> Network:
-    data = json.loads(text)
-    kinds = {k.value: k for k in BusKind}
-    return Network(
-        name=data["name"],
-        base_MVA=data["base_MVA"],
-        buses=tuple(
-            Bus(
-                id=b["id"],
-                kind=kinds[b["kind"]],
-                voltage_magnitude_setpoint=b["voltage_magnitude_setpoint"],
-                load_P=b["load_P"],
-                load_Q=b["load_Q"],
-                shunt_G=b["shunt_G"],
-                shunt_B=b["shunt_B"],
-                v_min=b["v_min"],
-                v_max=b["v_max"],
-                base_kV=b["base_kV"],
-            )
-            for b in data["buses"]
-        ),
-        generators=tuple(
-            Generator(
-                id=g["id"],
-                bus=g["bus"],
-                P_out=g["P_out"],
-                Q_out=g["Q_out"],
-                Q_min=g["Q_min"],
-                Q_max=g["Q_max"],
-                P_min=g["P_min"],
-                P_max=g["P_max"],
-                in_service=g["in_service"],
-                voltage_setpoint=g["voltage_setpoint"],
-            )
-            for g in data["generators"]
-        ),
-        branches=tuple(
-            Branch(
-                id=br["id"],
-                from_bus=br["from_bus"],
-                to_bus=br["to_bus"],
-                r=br["r"],
-                x=br["x"],
-                b_charging=br["b_charging"],
-                rate_MVA=br["rate_MVA"],
-                tap_ratio=br["tap_ratio"],
-                phase_shift=br["phase_shift"],
-                in_service=br["in_service"],
-            )
-            for br in data["branches"]
-        ),
-    )
+    """Inverse of network_to_json; raises CaseFormatError on malformed JSON."""
+    try:
+        data = json.loads(text)
+        records = {key: tuple(_record(cls, row) for row in data[key])
+                   for key, cls in _RECORD_TYPES.items()}
+        return Network(name=data["name"], base_MVA=data["base_MVA"], **records)
+    except KeyError as exc:
+        raise CaseFormatError(f"network JSON lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CaseFormatError(f"malformed network JSON: {exc}") from None

@@ -23,12 +23,18 @@ from .contingency import survivability
 from .ecomatrix import FlowType, RedundancyMode, build_eco_matrix, export_matrix
 from .ecometrics import metrics
 from .model import validate
-from .powerflow import PowerFlowError, SolverOptions, solve
+from .powerflow import BranchFlow, PowerFlowError, SolverOptions, solve
 from .stats import case_report, comparison_csv, comparison_report, stats_csv
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_DIVERGED = 2
+
+
+# branch-flow columns of `pf`: the BranchFlow fields, branch_id written as "branch"
+_FLOW_COLUMNS = tuple(
+    "branch" if f.name == "branch_id" else f.name for f in dataclasses.fields(BranchFlow)
+)
 
 
 class _DataError(Exception):
@@ -93,6 +99,7 @@ def _cmd_pf(args) -> int:
     if args.dump_network:
         Path(args.dump_network).write_text(network_to_json(network) + "\n")
     solution = solve(network, _solver_options(args))
+    flows = [dataclasses.astuple(f) for _, f in sorted(solution.branch_flows.items())]
     payload = {
         "metadata": _case_metadata(args, checksum, tolerance=args.tol, max_iterations=args.max_iter),
         "converged": solution.converged,
@@ -104,28 +111,12 @@ def _cmd_pf(args) -> int:
         "bus_angle": {str(k): v for k, v in sorted(solution.bus_angle.items())},
         "generator_P": {str(k): v for k, v in sorted(solution.generator_P.items())},
         "generator_Q": {str(k): v for k, v in sorted(solution.generator_Q.items())},
-        "branch_flows": [
-            {
-                "branch": f.branch_id,
-                "from_bus": f.from_bus,
-                "to_bus": f.to_bus,
-                "P_from": f.P_from,
-                "Q_from": f.Q_from,
-                "P_to": f.P_to,
-                "Q_to": f.Q_to,
-                "S_from": f.S_from,
-                "S_to": f.S_to,
-            }
-            for _, f in sorted(solution.branch_flows.items())
-        ],
+        "branch_flows": [dict(zip(_FLOW_COLUMNS, row)) for row in flows],
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     if args.csv:
-        header = ["branch", "from_bus", "to_bus", "P_from", "Q_from", "P_to", "Q_to", "S_from", "S_to"]
-        rows = [[f.branch_id, f.from_bus, f.to_bus] +
-                [format(v, ".9f") for v in (f.P_from, f.Q_from, f.P_to, f.Q_to, f.S_from, f.S_to)]
-                for _, f in sorted(solution.branch_flows.items())]
-        Path(args.csv).write_text(_csv(payload["metadata"], header, rows))
+        rows = [[format(v, ".9f") if isinstance(v, float) else v for v in row] for row in flows]
+        Path(args.csv).write_text(_csv(payload["metadata"], _FLOW_COLUMNS, rows))
     if not solution.converged:
         print(
             f"power flow diverged after {solution.iterations} iterations "

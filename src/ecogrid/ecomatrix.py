@@ -45,6 +45,18 @@ class FlowType(enum.Enum):
         except KeyError:
             raise ValueError(f"unknown flow type {name!r}") from None
 
+    def signed(self, p: float, q: float) -> float:
+        """This flow's projection of the complex power p + jq, signed by direction.
+
+        Apparent flow is |S| oriented by p, or by q where p is zero.
+        """
+        if self is FlowType.REAL:
+            return p
+        if self is FlowType.REACTIVE:
+            return q
+        s = math.hypot(p, q)
+        return math.copysign(s, p if p != 0.0 else q) if s else 0.0
+
 
 class RedundancyMode(enum.Enum):
     AGGREGATE = "aggregate"
@@ -65,10 +77,6 @@ class EcoFlowMatrix:
     actor_labels: tuple[tuple[str, int], ...]
     values: np.ndarray
     units: str
-
-    @property
-    def T(self) -> np.ndarray:  # noqa: N802 - domain name for the matrix itself
-        return self.values
 
     @property
     def n_actors(self) -> int:
@@ -92,11 +100,6 @@ class EcoFlowMatrix:
     def all_labels(self) -> tuple[str, ...]:
         actor = tuple(f"{_KIND_PREFIX[k]}:{i}" for k, i in self.actor_labels)
         return actor + ENVIRON_LABELS
-
-
-def _sign_carrier(primary: float, secondary: float) -> float:
-    """Orientation value: primary flow, falling back to the secondary."""
-    return primary if primary != 0.0 else secondary
 
 
 class _Builder:
@@ -123,42 +126,29 @@ class _Builder:
             self.add(bus, actor, -value)
             self.add(actor, absorbed_to, -value)
 
-    def pair(self, f: int, t: int, into_f: float, into_t: float,
-             mag_f: float | None = None, mag_t: float | None = None):
-        """Branch entry between two buses from the signed end flows.
+    def pair(self, f: int, t: int, into_f: float, into_t: float):
+        """Branch entry between two buses from the signed flows into the branch.
 
-        into_f/into_t are the orientation carriers (positive = feeding the
-        branch); magnitudes default to their absolute values but may be
-        overridden (apparent flow orients on real power, carries MVA).
+        Positive = feeding the branch. A through flow runs from the sending
+        to the receiving bus, which closes the difference (a loss to
+        dissipation, a surplus from input). A branch fed at both ends
+        dissipates at each bus; one feeding both ends is an input at each.
         """
-        mf = abs(into_f) if mag_f is None else mag_f
-        mt = abs(into_t) if mag_t is None else mag_t
-        if into_f > 0.0 and into_t < 0.0:
-            self.add(f, t, mf)
-            net = mf - mt
+        if into_t > 0.0 > into_f:
+            f, t, into_f, into_t = t, f, into_t, into_f
+        if into_f > 0.0 > into_t:
+            self.add(f, t, into_f)
+            net = into_f + into_t  # sent minus received
             if net >= 0.0:
                 self.add(t, self.dissipation, net)
             else:
                 self.add(self.input, t, -net)
-        elif into_t > 0.0 and into_f < 0.0:
-            self.add(t, f, mt)
-            net = mt - mf
-            if net >= 0.0:
-                self.add(f, self.dissipation, net)
-            else:
-                self.add(self.input, f, -net)
-        elif into_f >= 0.0 and into_t >= 0.0:
-            # both ends feed the branch: each bus dissipates its share
-            if into_f > 0.0:
-                self.add(f, self.dissipation, mf)
-            if into_t > 0.0:
-                self.add(t, self.dissipation, mt)
         else:
-            # both ends receive: the branch acts as a source at each bus
-            if into_f < 0.0:
-                self.add(self.input, f, mf)
-            if into_t < 0.0:
-                self.add(self.input, t, mt)
+            for bus, into in ((f, into_f), (t, into_t)):
+                if into > 0.0:
+                    self.add(bus, self.dissipation, into)
+                elif into < 0.0:
+                    self.add(self.input, bus, -into)
 
     def load(self, bus: int, value: float):
         if value > 0.0:
@@ -234,68 +224,32 @@ def build_eco_matrix(
     )
     b = _Builder(labels, flow.value)
     bus_idx = {bid: b.index[("bus", bid)] for bid in bus_ids}
-    absorbed_to = b.dissipation if absorbed_gen_q == "dissipation" else b.export
+    absorbed_to = b.dissipation
+    if absorbed_gen_q == "export" and flow is not FlowType.REAL:
+        absorbed_to = b.export  # absorbed real power is always dissipated
 
-    if flow is FlowType.REAL:
-        for label, p, _ in gen_records:
-            b.device(b.index[label], bus_idx[gen_bus[label]], p, b.dissipation)
-        for bid in shunt_buses:
+    for label, p, q in gen_records:
+        b.device(b.index[label], bus_idx[gen_bus[label]], flow.signed(p, q), absorbed_to)
+    for bid in shunt_buses:
+        p_sh = solution.shunt_P_consumed.get(bid, 0.0)
+        if flow is FlowType.REAL:
             # shunts are real-power passive: their draw is bus dissipation
-            b.add(bus_idx[bid], b.dissipation, solution.shunt_P_consumed.get(bid, 0.0))
-        for fl in solution.branch_flows.values():
-            b.pair(bus_idx[fl.from_bus], bus_idx[fl.to_bus], fl.P_from, fl.P_to)
-        for bid in bus_ids:
-            b.load(bus_idx[bid], network.bus_by_id[bid].load_P)
-
-    elif flow is FlowType.REACTIVE:
-        for label, _, q in gen_records:
-            b.device(b.index[label], bus_idx[gen_bus[label]], q, absorbed_to)
-        for bid in shunt_buses:
-            b.device(
-                b.index[("shunt", bid)],
-                bus_idx[bid],
-                solution.shunt_Q_injected.get(bid, 0.0),
-                b.dissipation,
-            )
-        for fl in solution.branch_flows.values():
-            b.pair(bus_idx[fl.from_bus], bus_idx[fl.to_bus], fl.Q_from, fl.Q_to)
-        for bid in bus_ids:
-            b.load(bus_idx[bid], network.bus_by_id[bid].load_Q)
-
-    else:  # APPARENT: magnitudes hypot(P, Q), oriented by the real flow
-        for label, p, q in gen_records:
-            s = math.hypot(p, q)
-            b.device(
-                b.index[label],
-                bus_idx[gen_bus[label]],
-                math.copysign(s, _sign_carrier(p, q)) if s else 0.0,
-                absorbed_to,
-            )
-        for bid in shunt_buses:
-            p_sh = solution.shunt_P_consumed.get(bid, 0.0)
-            q_sh = solution.shunt_Q_injected.get(bid, 0.0)
-            s = math.hypot(p_sh, q_sh)
+            b.add(bus_idx[bid], b.dissipation, p_sh)
+        else:
             # a consuming (G > 0) or inductive shunt absorbs; capacitive injects
-            carrier = _sign_carrier(-p_sh, q_sh)
-            b.device(
-                b.index[("shunt", bid)],
-                bus_idx[bid],
-                math.copysign(s, carrier) if s else 0.0,
-                b.dissipation,
-            )
-        for fl in solution.branch_flows.values():
-            b.pair(
-                bus_idx[fl.from_bus],
-                bus_idx[fl.to_bus],
-                _sign_carrier(fl.P_from, fl.Q_from),
-                _sign_carrier(fl.P_to, fl.Q_to),
-                mag_f=fl.S_from,
-                mag_t=fl.S_to,
-            )
-        for bid in bus_ids:
-            bus = network.bus_by_id[bid]
-            s = math.hypot(bus.load_P, bus.load_Q)
-            b.load(bus_idx[bid], math.copysign(s, _sign_carrier(bus.load_P, bus.load_Q)) if s else 0.0)
+            value = flow.signed(-p_sh, solution.shunt_Q_injected.get(bid, 0.0))
+            b.device(b.index[("shunt", bid)], bus_idx[bid], value, b.dissipation)
+    for fl in solution.branch_flows.values():
+        b.pair(
+            bus_idx[fl.from_bus],
+            bus_idx[fl.to_bus],
+            flow.signed(fl.P_from, fl.Q_from),
+            flow.signed(fl.P_to, fl.Q_to),
+        )
+    for bid in bus_ids:
+        bus = network.bus_by_id[bid]
+        b.load(bus_idx[bid], flow.signed(bus.load_P, bus.load_Q))
+    if flow is FlowType.APPARENT:
         # apparent magnitudes are not nodally additive: phase cancellation
         # at each bus is closed out through the boundary
         for bid in bus_ids:
@@ -337,6 +291,8 @@ def export_matrix(matrix: EcoFlowMatrix) -> str:
 def import_matrix(text: str) -> EcoFlowMatrix:
     """Inverse of export_matrix; lines starting with '#' are ignored."""
     rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not rows:
+        raise ValueError("matrix CSV has no header row")
     header = rows[0].split(",")
     units = header[0]
     labels = header[1:]

@@ -46,12 +46,7 @@ def flow_stats(flows, flow: FlowType) -> FlowStats:
         records = list(flows)
     if not records:
         raise ValueError("no branch flows to aggregate")
-    if flow is FlowType.REAL:
-        values = np.array([abs(f.P_from) for f in records])
-    elif flow is FlowType.REACTIVE:
-        values = np.array([abs(f.Q_from) for f in records])
-    else:
-        values = np.array([f.S_from for f in records])
+    values = np.array([abs(flow.signed(f.P_from, f.Q_from)) for f in records])
     return FlowStats(
         flow_type=flow,
         mean=float(values.mean()),

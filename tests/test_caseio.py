@@ -1,5 +1,8 @@
 """Case parsing, error reporting, and serialization round-trips."""
 
+import copy
+import json
+
 import pytest
 
 from conftest import TWOBUS_PQ_TEXT
@@ -116,6 +119,33 @@ def test_json_round_trip_is_identity():
     for source in (TWOBUS_PQ_TEXT, case_path("ieee24_rts").read_text()):
         net = parse_case(source)
         assert network_from_json(network_to_json(net)) == net
+
+
+def _json_variants():
+    good = json.loads(network_to_json(parse_case(TWOBUS_PQ_TEXT)))
+    unknown_kind = copy.deepcopy(good)
+    unknown_kind["buses"][0]["kind"] = "swing"
+    unknown_field = copy.deepcopy(good)
+    unknown_field["generators"][0]["cost"] = 1.0
+    missing_field = copy.deepcopy(good)
+    del missing_field["branches"][0]["r"]
+    missing_default = copy.deepcopy(good)
+    del missing_default["buses"][1]["load_P"]
+    return {
+        "empty-object": "{}",
+        "not-json": "mpc.baseMVA = 100;",
+        "list": "[]",
+        "unknown-kind": json.dumps(unknown_kind),
+        "unknown-field": json.dumps(unknown_field),
+        "missing-field": json.dumps(missing_field),
+        "missing-defaulted-field": json.dumps(missing_default),
+    }
+
+
+@pytest.mark.parametrize("text", [pytest.param(t, id=n) for n, t in _json_variants().items()])
+def test_malformed_network_json_is_a_case_format_error(text):
+    with pytest.raises(CaseFormatError):
+        network_from_json(text)
 
 
 def test_checksum_is_stable_and_content_sensitive():

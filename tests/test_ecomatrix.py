@@ -41,6 +41,25 @@ def lossless_two_bus(r=0.0, gens=((100.0, 1),)):
     return Network("toy", 100.0, buses, generators, branches)
 
 
+@pytest.mark.parametrize(
+    "flow, p, q, expected",
+    [
+        (FlowType.REAL, 3.0, 4.0, 3.0),
+        (FlowType.REAL, -3.0, 4.0, -3.0),
+        (FlowType.REACTIVE, 3.0, 4.0, 4.0),
+        (FlowType.REACTIVE, 3.0, -4.0, -4.0),
+        (FlowType.APPARENT, 3.0, 4.0, 5.0),
+        (FlowType.APPARENT, -3.0, 4.0, -5.0),
+        (FlowType.APPARENT, 0.0, -4.0, -4.0),  # oriented by q where p is zero
+        (FlowType.APPARENT, 0.0, 0.0, 0.0),
+    ],
+)
+def test_flow_projection_table(flow, p, q, expected):
+    value = flow.signed(p, q)
+    assert value == expected
+    assert np.copysign(1.0, value) == np.copysign(1.0, expected)
+
+
 class TestRealMatrix:
     def test_lossless_single_path_entries(self):
         net = lossless_two_bus()
@@ -158,6 +177,35 @@ class TestReactiveAndApparent:
         assert m.values[m.input_index, b1] == pytest.approx(-flow.Q_from, abs=1e-9)
         assert m.values[m.input_index, b2] == pytest.approx(-flow.Q_to, abs=1e-9)
         assert m.values[b2, m.export_index] == pytest.approx(5.0, abs=1e-9)
+
+    def test_apparent_flow_without_real_part_is_oriented_by_reactive(self):
+        # both ends of the branch receive pure Mvar: the MVA enters each bus
+        # from the input side, as the reactive matrix would have it
+        net = lossless_two_bus()
+        sol = solved(net)
+        fl = dataclasses.replace(sol.branch_flows[1], P_from=0.0, Q_from=-40.0, P_to=0.0,
+                                 Q_to=-30.0, S_from=40.0, S_to=30.0)
+        sol = dataclasses.replace(sol, branch_flows={1: fl})
+        m = build_eco_matrix(net, sol, FlowType.APPARENT, RedundancyMode.AGGREGATE)
+        b1 = m.actor_index("bus", 1)
+        b2 = m.actor_index("bus", 2)
+        assert m.values[m.input_index, b1] == pytest.approx(40.0, abs=1e-9)
+        assert m.values[b1, b2] == 0.0 and m.values[b2, b1] == 0.0
+        assert conservation_report(m) == []
+
+    def test_consuming_shunt_absorbs_apparent_flow_from_bus(self):
+        net = lossless_two_bus()
+        buses = (net.buses[0], dataclasses.replace(net.buses[1], shunt_G=10.0))
+        net = dataclasses.replace(net, buses=buses)
+        sol = solved(net)
+        consumed = sol.shunt_P_consumed[2]
+        assert consumed > 0 and sol.shunt_Q_injected[2] == 0.0
+        m = build_eco_matrix(net, sol, FlowType.APPARENT, RedundancyMode.AGGREGATE)
+        sh = m.actor_index("shunt", 2)
+        b2 = m.actor_index("bus", 2)
+        assert m.values[b2, sh] == pytest.approx(consumed, abs=1e-9)
+        assert m.values[sh, m.dissipation_index] == pytest.approx(consumed, abs=1e-9)
+        assert m.values[m.input_index, sh] == 0.0
 
     def test_aggregate_nets_mixed_sign_unit_outputs(self):
         # PQ bus with two fixed-dispatch units, one producing and one
@@ -312,3 +360,6 @@ class TestCsv:
             import_matrix("MW,bus:1,input,export\n")  # missing dissipation
         with pytest.raises(ValueError):
             import_matrix("MW,wat:1,input,export,dissipation\n" + "x,0,0,0,0\n" * 5)
+        for text in ("", "# only a comment\n"):
+            with pytest.raises(ValueError):
+                import_matrix(text)
