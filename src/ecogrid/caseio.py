@@ -17,6 +17,8 @@ from .model import Branch, Bus, BusKind, Generator, Network
 
 _BUS_KIND_BY_CODE = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK, 4: BusKind.PQ}
 _RECORD_TYPES = {"buses": Bus, "generators": Generator, "branches": Branch}
+# JSON values accepted per annotated field type; a bool is never a number
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 _BASE_RE = re.compile(r"^\s*(?:mpc\.)?baseMVA\s*=\s*([0-9eE.+-]+)\s*;?\s*$")
 _TABLE_RE = re.compile(r"^\s*(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
@@ -212,6 +214,10 @@ def _record(cls, row) -> Bus | Generator | Branch:
     names = {f.name for f in fields(cls)}
     if not isinstance(row, dict) or row.keys() != names:
         raise TypeError(f"{cls.__name__} record needs exactly the fields {sorted(names)}")
+    for f in fields(cls):
+        value, kinds = row[f.name], _JSON_TYPES.get(f.type, object)
+        if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
+            raise TypeError(f"{cls.__name__} field {f.name} must be {f.type}, got {value!r}")
     if cls is Bus:
         row = {**row, "kind": BusKind(row["kind"])}
     return cls(**row)

@@ -4,6 +4,8 @@ Total system throughput scales the mutual information of the flow
 distribution into ascendency and its entropy into development capacity;
 their ratio drives the robustness curve -a*ln(a), which peaks at 1/e.
 Robustness is base-independent: the log-2 factors cancel in the ratio.
+Each matrix is scanned once for its nonzero entries, and every metric is
+computed from those entries and the matrix's dense total and row sums.
 """
 
 from __future__ import annotations
@@ -46,43 +48,49 @@ def indeterminacy(p: float, k: float = 1.0) -> float:
     return -k * p * math.log(p)
 
 
-def _flows(T) -> np.ndarray:
-    values = T.values if hasattr(T, "values") else np.asarray(T, dtype=float)
+def _entries(T):
+    """T as a C-ordered matrix and its nonzero entries, row-major; NaN, inf and
+    negative entries are nonzero, so checking the entries checks all of T."""
+    values = np.asarray(T.values if hasattr(T, "values") else T, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"flow matrix must be square, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    values = np.ascontiguousarray(values)
+    i, j = np.nonzero(values != 0)
+    t = values[i, j]
+    if not np.all(np.isfinite(t)):
         raise ValueError("flow matrix contains non-finite entries")
-    if np.any(values < 0):
+    if np.any(t < 0):
         raise ValueError("flow matrix contains negative entries")
-    return values
+    return values, i, j, t
+
+
+def _scores(T, name: str):
+    """(TSTp, ASC, DC) from one scan of T; `name` labels the all-zero error."""
+    values, i, j, t = _entries(T)
+    total = values.sum()
+    if total <= 0:
+        raise ValueError(f"{name} undefined for an all-zero matrix (TSTp = 0)")
+    # dense total and row sums (pairwise); bincount adds columns in row order, as axis=0 does
+    row = values.sum(axis=1)
+    col = np.bincount(j, weights=t, minlength=len(values))
+    asc = float(np.sum(t * np.log2(t * total / (row[i] * col[j]))))
+    dc = float(-np.sum(t * np.log2(t / total)))
+    return float(total), asc, dc
 
 
 def tstp(T) -> float:
     """Total system throughput: the sum of all flows."""
-    return float(_flows(T).sum())
+    return float(_entries(T)[0].sum())
 
 
 def ascendency(T) -> float:
     """TSTp-scaled mutual information of the flow distribution (flow*bits)."""
-    values = _flows(T)
-    total = values.sum()
-    if total <= 0:
-        raise ValueError("ascendency undefined for an all-zero matrix (TSTp = 0)")
-    row = values.sum(axis=1)
-    col = values.sum(axis=0)
-    i, j = np.nonzero(values)
-    t = values[i, j]
-    return float(np.sum(t * np.log2(t * total / (row[i] * col[j]))))
+    return _scores(T, "ascendency")[1]
 
 
 def development_capacity(T) -> float:
     """TSTp-scaled entropy of the flow distribution; upper bound of ascendency."""
-    values = _flows(T)
-    total = values.sum()
-    if total <= 0:
-        raise ValueError("development capacity undefined for an all-zero matrix (TSTp = 0)")
-    t = values[np.nonzero(values)]
-    return float(-np.sum(t * np.log2(t / total)))
+    return _scores(T, "development capacity")[2]
 
 
 def robustness(asc: float, dc: float) -> float:
@@ -103,11 +111,7 @@ def robustness(asc: float, dc: float) -> float:
 
 def metrics(T) -> EcoMetrics:
     """All metrics for one matrix; raises on an all-zero matrix."""
-    total = tstp(T)
-    if total <= 0:
-        raise ValueError("metrics undefined for an all-zero matrix (TSTp = 0)")
-    asc = ascendency(T)
-    dc = development_capacity(T)
+    total, asc, dc = _scores(T, "metrics")
     if dc == 0:
         ratio = 1.0
     else:

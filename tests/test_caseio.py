@@ -121,6 +121,15 @@ def test_json_round_trip_is_identity():
         assert network_from_json(network_to_json(net)) == net
 
 
+def test_json_float_fields_take_ints_and_infinity():
+    net = parse_case(TWOBUS_PQ_TEXT)
+    data = json.loads(network_to_json(net))
+    data["branches"][0]["x"] = 0
+    data["generators"][0]["P_max"] = float("inf")
+    loaded = network_from_json(json.dumps(data))
+    assert loaded.branches[0].x == 0 and loaded.generators[0].P_max == float("inf")
+
+
 def _json_variants():
     good = json.loads(network_to_json(parse_case(TWOBUS_PQ_TEXT)))
     unknown_kind = copy.deepcopy(good)
@@ -131,6 +140,12 @@ def _json_variants():
     del missing_field["branches"][0]["r"]
     missing_default = copy.deepcopy(good)
     del missing_default["buses"][1]["load_P"]
+
+    def edited(key, field, value):
+        bad = copy.deepcopy(good)
+        bad[key][0][field] = value
+        return json.dumps(bad)
+
     return {
         "empty-object": "{}",
         "not-json": "mpc.baseMVA = 100;",
@@ -139,6 +154,12 @@ def _json_variants():
         "unknown-field": json.dumps(unknown_field),
         "missing-field": json.dumps(missing_field),
         "missing-defaulted-field": json.dumps(missing_default),
+        "string-bus-id": edited("buses", "id", "x"),
+        "null-branch-r": edited("branches", "r", None),
+        "string-in-service": edited("generators", "in_service", "yes"),
+        "bool-load": edited("buses", "load_P", True),
+        "float-bus-id": edited("buses", "id", 1.5),
+        "int-in-service": edited("branches", "in_service", 1),
     }
 
 

@@ -1,10 +1,14 @@
-"""Metric primitives against hand computations and a brute-force oracle."""
+"""Metric primitives against hand computations, a brute-force oracle and the
+three-pass reference implementation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import random_network
+from ecogrid.ecomatrix import FlowType, RedundancyMode, build_eco_matrix, conservation_report
 from ecogrid.ecometrics import (
     EcoMetrics,
     ascendency,
@@ -15,6 +19,8 @@ from ecogrid.ecometrics import (
     surprisal,
     tstp,
 )
+from ecogrid.model import OutageSet, apply_outage
+from ecogrid.powerflow import PowerFlowError, solve
 
 
 def brute_force(T):
@@ -35,6 +41,78 @@ def brute_force(T):
     a = asc / dc if dc > 0 else 1.0
     r = -a * math.log(a) if 0 < a < 1 else 0.0
     return total, asc, dc, r
+
+
+def _reference_flows(T) -> np.ndarray:
+    values = T.values if hasattr(T, "values") else np.asarray(T, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"flow matrix must be square, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("flow matrix contains non-finite entries")
+    if np.any(values < 0):
+        raise ValueError("flow matrix contains negative entries")
+    return values
+
+
+def reference_tstp(T) -> float:
+    return float(_reference_flows(T).sum())
+
+
+def reference_ascendency(T) -> float:
+    values = _reference_flows(T)
+    total = values.sum()
+    if total <= 0:
+        raise ValueError("ascendency undefined for an all-zero matrix (TSTp = 0)")
+    row = values.sum(axis=1)
+    col = values.sum(axis=0)
+    i, j = np.nonzero(values)
+    t = values[i, j]
+    return float(np.sum(t * np.log2(t * total / (row[i] * col[j]))))
+
+
+def reference_development_capacity(T) -> float:
+    values = _reference_flows(T)
+    total = values.sum()
+    if total <= 0:
+        raise ValueError("development capacity undefined for an all-zero matrix (TSTp = 0)")
+    t = values[np.nonzero(values)]
+    return float(-np.sum(t * np.log2(t / total)))
+
+
+def reference_metrics(T) -> EcoMetrics:
+    """The three-pass metrics: each function checks, totals and scans T itself."""
+    total = reference_tstp(T)
+    if total <= 0:
+        raise ValueError("metrics undefined for an all-zero matrix (TSTp = 0)")
+    asc = reference_ascendency(T)
+    dc = reference_development_capacity(T)
+    ratio = 1.0 if dc == 0 else min(max(asc / dc, 0.0), 1.0)
+    return EcoMetrics(tstp=total, asc=asc, dc=dc, ratio=ratio, robustness=robustness(asc, dc))
+
+
+PAIRS = [
+    (tstp, reference_tstp),
+    (ascendency, reference_ascendency),
+    (development_capacity, reference_development_capacity),
+    (metrics, reference_metrics),
+]
+ALL_COMBOS = [(f, m) for f in FlowType for m in RedundancyMode]
+
+
+def _outcome(fn, T):
+    """The hex of every result field, or the error message."""
+    try:
+        result = fn(T)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(result, EcoMetrics):
+        return tuple(float(getattr(result, f.name)).hex() for f in dataclasses.fields(result))
+    return float(result).hex()
+
+
+def assert_matches_reference(T):
+    for fn, ref in PAIRS:
+        assert _outcome(fn, T) == _outcome(ref, T), fn.__name__
 
 
 def chain_matrix():
@@ -226,3 +304,123 @@ class TestProperties:
         assert isinstance(m, EcoMetrics)
         assert m.ratio == pytest.approx(m.asc / m.dc)
         assert m.robustness == pytest.approx(robustness(m.asc, m.dc))
+
+
+class TestOnePassMatchesReference:
+    def test_ieee24_base_and_every_n1_outage(self, ieee24):
+        outages = [OutageSet()]
+        outages += [OutageSet.of(branches=[b.id]) for b in ieee24.branches]
+        outages += [OutageSet.of(generators=[g.id]) for g in ieee24.generators]
+        solved_count = 0
+        for outage in outages:
+            network = apply_outage(ieee24, outage)
+            sol = solve(network)
+            if not sol.converged:
+                continue
+            solved_count += 1
+            for flow, mode in ALL_COMBOS:
+                for absorbed_gen_q in ("dissipation", "export"):
+                    assert_matches_reference(
+                        build_eco_matrix(network, sol, flow, mode, absorbed_gen_q=absorbed_gen_q))
+        assert solved_count == 71
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(606)
+        solved_count = 0
+        for _ in range(120):
+            network = random_network(rng)
+            sol = solve(network)
+            if not sol.converged:
+                continue
+            solved_count += 1
+            for flow, mode in ALL_COMBOS:
+                assert_matches_reference(build_eco_matrix(network, sol, flow, mode))
+        assert solved_count >= 100
+
+    @pytest.mark.parametrize("n", [3, 9, 40, 130, 520, 1500])
+    @pytest.mark.parametrize("density", [0.001, 0.01, 0.1, 0.5])
+    def test_random_sparse_matrices(self, n, density):
+        rng = np.random.default_rng([n, int(density * 1000)])
+        T = rng.lognormal(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < density)
+        assert_matches_reference(T)
+        # the result does not depend on the memory layout of the input
+        assert _outcome(metrics, np.asfortranarray(T)) == _outcome(metrics, T)
+
+    @pytest.mark.parametrize("case", [
+        "non-square", "one-dimensional", "nan", "inf", "negative", "nan-and-negative",
+        "all-zero", "negative-zero-beside-one-entry",
+    ])
+    def test_error_messages_match_reference(self, case):
+        T = np.zeros((4, 4))
+        T[0, 1] = 2.0
+        if case == "non-square":
+            T = np.ones((2, 3))
+        elif case == "one-dimensional":
+            T = np.ones(3)
+        elif case == "nan":
+            T[2, 3] = np.nan
+        elif case == "inf":
+            T[1, 0] = np.inf
+        elif case == "negative":
+            T[3, 3] = -1.0
+        elif case == "nan-and-negative":
+            T[0, 2] = -1.0
+            T[3, 1] = np.nan
+        elif case == "all-zero":
+            T[0, 1] = 0.0
+        else:
+            T[0, 0] = -0.0
+        assert_matches_reference(T)
+
+
+def test_bincount_column_sums_equal_axis0_sums():
+    """The column sums of the one-pass metrics rely on this numpy identity:
+    an axis-0 sum of a C-contiguous matrix adds each column in row order."""
+    rng = np.random.default_rng(11)
+    for n, density in ((3, 0.5), (64, 0.3), (400, 0.2), (1500, 0.02), (1500, 0.5)):
+        values = rng.lognormal(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < density)
+        i, j = np.nonzero(values != 0)
+        t = values[i, j]
+        assert np.array_equal(np.bincount(j, weights=t, minlength=n), values.sum(axis=0))
+
+
+def _solved_outaged_random_networks(rng, count):
+    for _ in range(count):
+        network = random_network(rng)
+        branches = [b.id for b in network.branches]
+        gens = [g.id for g in network.generators]
+        outage = OutageSet.of(
+            branches=rng.choice(branches, size=int(rng.integers(0, 3)), replace=False).tolist(),
+            generators=rng.choice(gens, size=int(rng.integers(0, 2)), replace=False).tolist(),
+        )
+        network = apply_outage(network, outage)
+        try:
+            sol = solve(network)
+        except PowerFlowError:
+            continue
+        if sol.converged:
+            yield network, sol
+
+
+class TestInvariantsOnOutagedRandomNetworks:
+    def test_conservation_ordering_scaling_and_permutation(self):
+        rng = np.random.default_rng(515)
+        solved_count = 0
+        for network, sol in _solved_outaged_random_networks(rng, 60):
+            solved_count += 1
+            for flow, mode in ALL_COMBOS:
+                m = build_eco_matrix(network, sol, flow, mode)
+                assert conservation_report(m) == []
+                base = metrics(m)
+                assert base.asc <= base.dc * (1 + 1e-9)
+                for k in (-3, 5):  # power-of-two scaling is exact
+                    assert metrics(m.values * 2.0**k).robustness.hex() == base.robustness.hex()
+                p = rng.permutation(len(m.values))
+                others = [m.values * c for c in (1e-3, 0.37, 7.0, 1e4)]
+                for other in map(metrics, others + [m.values[np.ix_(p, p)]]):
+                    assert math.isclose(other.ratio, base.ratio, rel_tol=1e-12)
+                    # R = -a*ln(a) is about 1 - a near a = 1, so a one-ulp change
+                    # of a fully determined matrix's a = 1 reads as 2.2e-16
+                    assert math.isclose(other.robustness, base.robustness,
+                                        rel_tol=1e-12, abs_tol=1e-15)
+        assert solved_count >= 30
