@@ -18,7 +18,7 @@ from .model import Branch, Bus, BusKind, Generator, Network
 _BUS_KIND_BY_CODE = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK, 4: BusKind.PQ}
 _RECORD_TYPES = {"buses": Bus, "generators": Generator, "branches": Branch}
 # JSON values accepted per annotated field type; a bool is never a number
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 _BASE_RE = re.compile(r"^\s*(?:mpc\.)?baseMVA\s*=\s*([0-9eE.+-]+)\s*;?\s*$")
 _TABLE_RE = re.compile(r"^\s*(?:mpc\.)?(\w+)\s*=\s*\[(.*)$")
@@ -71,6 +71,13 @@ def _parse_rows(lines, start, numbers_needed):
     raise CaseFormatError("unterminated table (missing '];')", start)
 
 
+def _integer(value: float, column: str, line: int) -> int:
+    """An id, type or bus column as an int; NaN, inf and fractions are errors."""
+    if not value.is_integer():
+        raise CaseFormatError(f"{column} must be an integer, got {value!r}", line)
+    return int(value)
+
+
 def parse_case(text: str, name: str | None = None) -> Network:
     """Parse case text into a Network, preserving per-unit fields as read.
 
@@ -118,11 +125,11 @@ def parse_case(text: str, name: str | None = None) -> Network:
     buses: list[Bus] = []
     seen: set[int] = set()
     for values, line_no in tables["bus"]:
-        bus_id = int(values[0])
+        bus_id = _integer(values[0], "bus id", line_no)
         if bus_id in seen:
             raise CaseFormatError(f"duplicate bus id {bus_id}", line_no)
         seen.add(bus_id)
-        code = int(values[1])
+        code = _integer(values[1], f"bus {bus_id}: type code", line_no)
         if code not in _BUS_KIND_BY_CODE:
             raise CaseFormatError(f"bus {bus_id}: unknown bus type code {code}", line_no)
         buses.append(
@@ -142,7 +149,7 @@ def parse_case(text: str, name: str | None = None) -> Network:
 
     generators: list[Generator] = []
     for idx, (values, line_no) in enumerate(tables["gen"], start=1):
-        bus_id = int(values[0])
+        bus_id = _integer(values[0], f"generator {idx}: bus", line_no)
         if bus_id not in seen:
             raise CaseFormatError(f"generator {idx}: references unknown bus {bus_id}", line_no)
         generators.append(
@@ -162,7 +169,8 @@ def parse_case(text: str, name: str | None = None) -> Network:
 
     branches: list[Branch] = []
     for idx, (values, line_no) in enumerate(tables["branch"], start=1):
-        f_bus, t_bus = int(values[0]), int(values[1])
+        f_bus = _integer(values[0], f"branch {idx}: from bus", line_no)
+        t_bus = _integer(values[1], f"branch {idx}: to bus", line_no)
         for end in (f_bus, t_bus):
             if end not in seen:
                 raise CaseFormatError(f"branch {idx}: references unknown bus {end}", line_no)
@@ -210,16 +218,21 @@ def _json_record(record) -> dict:
     return row
 
 
+def _typed(owner: str, f, value):
+    """value, if its JSON type fits the annotated type of field f."""
+    kinds = _JSON_TYPES.get(f.type, object)
+    if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
+        raise TypeError(f"{owner} field {f.name} must be {f.type}, got {value!r}")
+    return value
+
+
 def _record(cls, row) -> Bus | Generator | Branch:
     names = {f.name for f in fields(cls)}
     if not isinstance(row, dict) or row.keys() != names:
         raise TypeError(f"{cls.__name__} record needs exactly the fields {sorted(names)}")
-    for f in fields(cls):
-        value, kinds = row[f.name], _JSON_TYPES.get(f.type, object)
-        if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
-            raise TypeError(f"{cls.__name__} field {f.name} must be {f.type}, got {value!r}")
+    row = {f.name: _typed(cls.__name__, f, row[f.name]) for f in fields(cls)}
     if cls is Bus:
-        row = {**row, "kind": BusKind(row["kind"])}
+        row["kind"] = BusKind(row["kind"])
     return cls(**row)
 
 
@@ -237,7 +250,9 @@ def network_from_json(text: str) -> Network:
         data = json.loads(text)
         records = {key: tuple(_record(cls, row) for row in data[key])
                    for key, cls in _RECORD_TYPES.items()}
-        return Network(name=data["name"], base_MVA=data["base_MVA"], **records)
+        head = {f.name: _typed("Network", f, data[f.name])
+                for f in fields(Network) if f.name not in records}
+        return Network(**head, **records)
     except KeyError as exc:
         raise CaseFormatError(f"network JSON lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:

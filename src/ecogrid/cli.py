@@ -140,8 +140,8 @@ def _cmd_matrix(args) -> int:
     matrix = build_eco_matrix(
         network,
         solution,
-        FlowType.from_name(args.flow),
-        RedundancyMode.from_name(args.mode),
+        FlowType[args.flow.upper()],
+        RedundancyMode(args.mode),
         absorbed_gen_q=args.absorbed_gen_q,
     )
     md = _case_metadata(args, checksum, flow=args.flow, mode=args.mode,
@@ -163,7 +163,7 @@ def _cmd_reco(args) -> int:
     if args.all:
         combos = [(f, m) for f in FlowType for m in RedundancyMode]
     else:
-        combos = [(FlowType.from_name(args.flow), RedundancyMode.from_name(args.mode))]
+        combos = [(FlowType[args.flow.upper()], RedundancyMode(args.mode))]
     rows = [
         _metrics_entry(network, solution, f, m, args.absorbed_gen_q) for f, m in combos
     ]
@@ -207,7 +207,7 @@ def _cmd_contingency(args) -> int:
     _emit(json.dumps({"metadata": md, "survivability": report.to_dict()}, sort_keys=True, indent=2),
           args.out)
     if args.csv:
-        rows = [[d.depth, " ".join(r.spec.tokens()), r.status, len(r.violations), _worst(r.violations)]
+        rows = [[d.depth, " ".join(r.outage.tokens()), r.status, len(r.violations), _worst(r.violations)]
                 for d in report.depths for r in d.results]
         header = ["depth", "outage", "status", "violations", "worst_violation"]
         Path(args.csv).write_text(_csv(md, header, rows))
@@ -292,9 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver(p)
     _add_matrix_flags(p, require=False)
     p.add_argument("--all", action="store_true", help="emit the 3-flow x 2-mode table")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_reco)
 

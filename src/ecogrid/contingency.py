@@ -37,23 +37,8 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ContingencySpec:
-    outage: OutageSet
-
-    @property
-    def depth(self) -> int:
-        return self.outage.size
-
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(
-            [f"branch:{i}" for i in sorted(self.outage.branch_ids)]
-            + [f"gen:{i}" for i in sorted(self.outage.generator_ids)]
-        )
-
-
-@dataclass(frozen=True)
 class ContingencyResult:
-    spec: ContingencySpec
+    outage: OutageSet
     status: str  # "solved" | "unsolved"
     violations: tuple[Violation, ...]
     iterations: int
@@ -139,13 +124,28 @@ def _unrank_combination(index: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(combo)
 
 
+def _candidates(network: Network, classes: tuple[str, ...], depth: int) -> list[tuple[str, int]]:
+    """In-service elements of the classes, branches then generators, each by id;
+    raises unless 1 <= depth <= their count."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    elements: list[tuple[str, int]] = []
+    if "branch" in classes:
+        elements += [("branch", br.id) for br in sorted(network.in_service_branches, key=lambda b: b.id)]
+    if "generator" in classes:
+        elements += [("generator", g.id) for g in sorted(network.in_service_generators, key=lambda g: g.id)]
+    if depth > len(elements):
+        raise ValueError(f"depth {depth} exceeds the {len(elements)} available in-service elements")
+    return elements
+
+
 def enumerate_contingencies(
     network: Network,
     depth: int,
     classes: Iterable[str] = COMPONENT_CLASSES,
     cap: int | None = None,
     seed: int = 0,
-) -> list[ContingencySpec]:
+) -> list[OutageSet]:
     """All size-depth outage combinations of in-service elements.
 
     Elements are ordered branches-then-generators by id, and combinations
@@ -154,17 +154,10 @@ def enumerate_contingencies(
     combinations is drawn with the given seed (then re-sorted), so any
     (network, depth, classes, cap, seed) tuple is reproducible.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    classes = _normalize_classes(classes)
-    elements: list[tuple[str, int]] = []
-    if "branch" in classes:
-        elements += [("branch", br.id) for br in sorted(network.in_service_branches, key=lambda b: b.id)]
-    if "generator" in classes:
-        elements += [("generator", g.id) for g in sorted(network.in_service_generators, key=lambda g: g.id)]
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    elements = _candidates(network, _normalize_classes(classes), depth)
     n = len(elements)
-    if depth > n:
-        raise ValueError(f"depth {depth} exceeds the {n} available in-service elements")
 
     total = math.comb(n, depth)
     if cap is not None and total > cap:
@@ -172,18 +165,18 @@ def enumerate_contingencies(
     else:
         indices = range(total)
 
-    specs: list[ContingencySpec] = []
+    outages: list[OutageSet] = []
     for idx in indices:
         combo = _unrank_combination(idx, n, depth)
         branches = [elements[i][1] for i in combo if elements[i][0] == "branch"]
         gens = [elements[i][1] for i in combo if elements[i][0] == "generator"]
-        specs.append(ContingencySpec(OutageSet.of(branches, gens)))
-    return specs
+        outages.append(OutageSet.of(branches, gens))
+    return outages
 
 
 def evaluate(
     network: Network,
-    spec: ContingencySpec,
+    outage: OutageSet,
     options: SolverOptions | None = None,
 ) -> ContingencyResult:
     """Apply the outage, re-solve, and classify.
@@ -195,24 +188,24 @@ def evaluate(
     not an unsolved one.
     """
     options = options or SolverOptions()
-    outaged = apply_outage(network, spec.outage)
+    outaged = apply_outage(network, outage)
     islands = connected_components(outaged)
     slack_ids = [b.id for b in outaged.slack_buses]
     slack_island = next((isl for isl in islands if slack_ids and slack_ids[0] in isl), None)
     if slack_island is None:
-        return ContingencyResult(spec, "unsolved", (), 0)
+        return ContingencyResult(outage, "unsolved", (), 0)
 
     island_gens = [g for g in outaged.in_service_generators if g.bus in slack_island]
     island_load = sum(outaged.bus_by_id[b].load_P for b in slack_island)
     if not island_gens or sum(g.P_max for g in island_gens) < island_load:
-        return ContingencyResult(spec, "unsolved", (), 0)
+        return ContingencyResult(outage, "unsolved", (), 0)
 
     try:
         solution = solve(outaged, options)
     except PowerFlowError:
-        return ContingencyResult(spec, "unsolved", (), 0)
+        return ContingencyResult(outage, "unsolved", (), 0)
     if not solution.converged:
-        return ContingencyResult(spec, "unsolved", (), solution.iterations)
+        return ContingencyResult(outage, "unsolved", (), solution.iterations)
 
     violations: list[Violation] = []
     for bid in sorted(solution.solved_island):
@@ -236,20 +229,20 @@ def evaluate(
         if shed > 0:
             violations.append(Violation(ViolationKind.ISLAND_LOAD_SHED, min(isl), shed))
 
-    return ContingencyResult(spec, "solved", tuple(violations), solution.iterations)
+    return ContingencyResult(outage, "solved", tuple(violations), solution.iterations)
 
 
 def evaluate_all(
     network: Network,
-    specs: Sequence[ContingencySpec],
+    outages: Sequence[OutageSet],
     options: SolverOptions | None = None,
     jobs: int = 1,
 ) -> list[ContingencyResult]:
-    """Evaluate specs in order; results are identical for any jobs count."""
-    if jobs <= 1 or len(specs) < 2:
-        return [evaluate(network, s, options) for s in specs]
+    """Evaluate outages in order; results are identical for any jobs count."""
+    if jobs <= 1 or len(outages) < 2:
+        return [evaluate(network, o, options) for o in outages]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda s: evaluate(network, s, options), specs))
+        return list(pool.map(lambda o: evaluate(network, o, options), outages))
 
 
 def survivability(
@@ -261,12 +254,17 @@ def survivability(
     seed: int = 0,
     jobs: int = 1,
 ) -> SurvivabilityReport:
-    """Evaluate x = 1..max_depth and keep each depth's results and counters."""
+    """Evaluate x = 1..max_depth and keep each depth's results and counters.
+
+    max_depth is checked against the in-service element count before any
+    depth is evaluated.
+    """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     classes = _normalize_classes(classes)
+    _candidates(network, classes, max_depth)
     summaries = []
     for depth in range(1, max_depth + 1):
-        specs = enumerate_contingencies(network, depth, classes, cap=cap, seed=seed)
-        summaries.append(DepthSummary(depth, tuple(evaluate_all(network, specs, options, jobs=jobs))))
+        outages = enumerate_contingencies(network, depth, classes, cap=cap, seed=seed)
+        summaries.append(DepthSummary(depth, tuple(evaluate_all(network, outages, options, jobs=jobs))))
     return SurvivabilityReport(tuple(summaries), classes, cap, seed)

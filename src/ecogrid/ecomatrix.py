@@ -36,15 +36,6 @@ class FlowType(enum.Enum):
     REACTIVE = "Mvar"
     APPARENT = "MVA"
 
-    @classmethod
-    def from_name(cls, name: str) -> "FlowType":
-        try:
-            return {"real": cls.REAL, "reactive": cls.REACTIVE, "apparent": cls.APPARENT}[
-                name.lower()
-            ]
-        except KeyError:
-            raise ValueError(f"unknown flow type {name!r}") from None
-
     def signed(self, p: float, q: float) -> float:
         """This flow's projection of the complex power p + jq, signed by direction.
 
@@ -61,13 +52,6 @@ class FlowType(enum.Enum):
 class RedundancyMode(enum.Enum):
     AGGREGATE = "aggregate"
     SPLIT = "split"
-
-    @classmethod
-    def from_name(cls, name: str) -> "RedundancyMode":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown redundancy mode {name!r}") from None
 
 
 @dataclass(eq=False)

@@ -28,26 +28,6 @@ class EcoMetrics:
     robustness: float
 
 
-def surprisal(p: float, k: float = 1.0) -> float:
-    """-k*ln(p): surprisal of an event with probability p."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"probability must be in (0, 1], got {p}")
-    if k <= 0:
-        raise ValueError(f"scale must be positive, got {k}")
-    return -k * math.log(p)
-
-
-def indeterminacy(p: float, k: float = 1.0) -> float:
-    """-k*p*ln(p), with the 0*ln(0) := 0 convention at both endpoints."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    if k <= 0:
-        raise ValueError(f"scale must be positive, got {k}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -k * p * math.log(p)
-
-
 def _entries(T):
     """T as a C-ordered matrix and its nonzero entries, row-major; NaN, inf and
     negative entries are nonzero, so checking the entries checks all of T."""
@@ -62,35 +42,6 @@ def _entries(T):
     if np.any(t < 0):
         raise ValueError("flow matrix contains negative entries")
     return values, i, j, t
-
-
-def _scores(T, name: str):
-    """(TSTp, ASC, DC) from one scan of T; `name` labels the all-zero error."""
-    values, i, j, t = _entries(T)
-    total = values.sum()
-    if total <= 0:
-        raise ValueError(f"{name} undefined for an all-zero matrix (TSTp = 0)")
-    # dense total and row sums (pairwise); bincount adds columns in row order, as axis=0 does
-    row = values.sum(axis=1)
-    col = np.bincount(j, weights=t, minlength=len(values))
-    asc = float(np.sum(t * np.log2(t * total / (row[i] * col[j]))))
-    dc = float(-np.sum(t * np.log2(t / total)))
-    return float(total), asc, dc
-
-
-def tstp(T) -> float:
-    """Total system throughput: the sum of all flows."""
-    return float(_entries(T)[0].sum())
-
-
-def ascendency(T) -> float:
-    """TSTp-scaled mutual information of the flow distribution (flow*bits)."""
-    return _scores(T, "ascendency")[1]
-
-
-def development_capacity(T) -> float:
-    """TSTp-scaled entropy of the flow distribution; upper bound of ascendency."""
-    return _scores(T, "development capacity")[2]
 
 
 def robustness(asc: float, dc: float) -> float:
@@ -110,10 +61,16 @@ def robustness(asc: float, dc: float) -> float:
 
 
 def metrics(T) -> EcoMetrics:
-    """All metrics for one matrix; raises on an all-zero matrix."""
-    total, asc, dc = _scores(T, "metrics")
-    if dc == 0:
-        ratio = 1.0
-    else:
-        ratio = min(max(asc / dc, 0.0), 1.0)
-    return EcoMetrics(tstp=total, asc=asc, dc=dc, ratio=ratio, robustness=robustness(asc, dc))
+    """All metrics for one matrix from one scan of T; raises on an all-zero matrix."""
+    values, i, j, t = _entries(T)
+    total = values.sum()
+    if total <= 0:
+        raise ValueError("metrics undefined for an all-zero matrix (TSTp = 0)")
+    # dense total and row sums (pairwise); bincount adds columns in row order, as axis=0 does
+    row = values.sum(axis=1)
+    col = np.bincount(j, weights=t, minlength=len(values))
+    asc = float(np.sum(t * np.log2(t * total / (row[i] * col[j]))))
+    dc = float(-np.sum(t * np.log2(t / total)))
+    ratio = 1.0 if dc == 0 else min(max(asc / dc, 0.0), 1.0)
+    return EcoMetrics(tstp=float(total), asc=asc, dc=dc, ratio=ratio,
+                      robustness=robustness(asc, dc))

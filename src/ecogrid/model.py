@@ -139,6 +139,13 @@ class OutageSet:
     def of(cls, branches: Iterable[int] = (), generators: Iterable[int] = ()) -> "OutageSet":
         return cls(frozenset(branches), frozenset(generators))
 
+    def tokens(self) -> tuple[str, ...]:
+        """`branch:<id>` then `gen:<id>` labels, each in id order."""
+        return tuple(
+            [f"branch:{i}" for i in sorted(self.branch_ids)]
+            + [f"gen:{i}" for i in sorted(self.generator_ids)]
+        )
+
 
 def validate(network: Network) -> list[str]:
     """Check all type invariants; returns one message per violation.

@@ -40,14 +40,6 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Sparse bus admittance matrix with its bus-id row/column order."""
-
-    bus_ids: tuple[int, ...]
-    matrix: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class BranchFlow:
     """Signed flows into the branch at each end, MW/Mvar/MVA."""
 
@@ -94,16 +86,15 @@ def _branch_admittances(branch: Branch) -> tuple[complex, complex, complex, comp
     return yff, yft, ytf, ytt
 
 
-def build_admittance(network: Network) -> AdmittanceMatrix:
-    """Assemble the bus admittance matrix over all buses.
+def build_admittance(network: Network) -> sp.csr_matrix:
+    """Assemble the bus admittance matrix, rows and columns in network.buses order.
 
     Series admittance 1/(r+jx), half the charging susceptance at each end,
     bus shunts (shunt_G + j shunt_B)/base on the diagonal, off-nominal tap
     and phase shift applied at the from side.
     """
-    bus_ids = tuple(b.id for b in network.buses)
-    pos = {bid: i for i, bid in enumerate(bus_ids)}
-    n = len(bus_ids)
+    pos = {b.id: i for i, b in enumerate(network.buses)}
+    n = len(network.buses)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[complex] = []
@@ -120,8 +111,7 @@ def build_admittance(network: Network) -> AdmittanceMatrix:
             rows.append(pos[b.id])
             cols.append(pos[b.id])
             vals.append(complex(b.shunt_G, b.shunt_B) / network.base_MVA)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
-    return AdmittanceMatrix(bus_ids=bus_ids, matrix=matrix)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
 
 
 class _Jacobian:
@@ -304,10 +294,9 @@ def solve(network: Network, options: SolverOptions | None = None) -> PowerFlowSo
     n = len(ids)
     base = network.base_MVA
 
-    adm = build_admittance(network)
-    adm_pos = {bid: i for i, bid in enumerate(adm.bus_ids)}
-    sel = [adm_pos[bid] for bid in ids]
-    Ybus = adm.matrix[sel, :][:, sel].tocsr()
+    bus_pos = {b.id: i for i, b in enumerate(network.buses)}
+    sel = [bus_pos[bid] for bid in ids]
+    Ybus = build_admittance(network)[sel, :][:, sel].tocsr()
 
     gens_by_bus = {
         bid: [g for g in network.generators_by_bus.get(bid, ()) if g.in_service]
@@ -480,7 +469,7 @@ def nodal_mismatch(
     """
     ids = [b.id for b in network.buses]
     pos = {bid: i for i, bid in enumerate(ids)}
-    adm = build_admittance(network)
+    Ybus = build_admittance(network)
     V = np.array(
         [voltage_magnitude[b] * cmath.exp(1j * voltage_angle[b]) for b in ids]
     )
@@ -495,5 +484,5 @@ def nodal_mismatch(
         p = generator_P[g.id] if generator_P is not None else g.P_out
         q = generator_Q[g.id] if generator_Q is not None else g.Q_out
         sched[pos[g.bus]] += complex(p, q) / base
-    mis = sched - V * np.conj(adm.matrix @ V)
+    mis = sched - V * np.conj(Ybus @ V)
     return {bid: (float(mis[i].real), float(mis[i].imag)) for i, bid in enumerate(ids)}

@@ -28,7 +28,6 @@ _STAT_KEYS = {
 class FlowStats:
     """Mean and population standard deviation of from-end flow magnitudes."""
 
-    flow_type: FlowType
     mean: float
     std: float
     sample_count: int
@@ -47,12 +46,7 @@ def flow_stats(flows, flow: FlowType) -> FlowStats:
     if not records:
         raise ValueError("no branch flows to aggregate")
     values = np.array([abs(flow.signed(f.P_from, f.Q_from)) for f in records])
-    return FlowStats(
-        flow_type=flow,
-        mean=float(values.mean()),
-        std=float(values.std()),
-        sample_count=len(records),
-    )
+    return FlowStats(mean=float(values.mean()), std=float(values.std()), sample_count=len(records))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,9 @@ def _json_variants():
         bad[key][0][field] = value
         return json.dumps(bad)
 
+    def top(field, value):
+        return json.dumps({**good, field: value})
+
     return {
         "empty-object": "{}",
         "not-json": "mpc.baseMVA = 100;",
@@ -160,6 +163,10 @@ def _json_variants():
         "bool-load": edited("buses", "load_P", True),
         "float-bus-id": edited("buses", "id", 1.5),
         "int-in-service": edited("branches", "in_service", 1),
+        "string-base-mva": top("base_MVA", "x"),
+        "null-base-mva": top("base_MVA", None),
+        "bool-base-mva": top("base_MVA", True),
+        "int-name": top("name", 5),
     }
 
 
@@ -167,6 +174,35 @@ def _json_variants():
 def test_malformed_network_json_is_a_case_format_error(text):
     with pytest.raises(CaseFormatError):
         network_from_json(text)
+
+
+def _case_variants():
+    """TWOBUS_PQ_TEXT with one id, type or bus cell replaced; each names its line."""
+    lines = TWOBUS_PQ_TEXT.splitlines()
+
+    def cell(line_no, column, value):
+        edited = list(lines)
+        cells = edited[line_no - 1].strip().rstrip(";").split("\t")
+        cells[column] = value
+        edited[line_no - 1] = "\t" + "\t".join(cells) + ";"
+        return "\n".join(edited) + "\n", line_no
+
+    return {
+        "bus-id-inf": cell(4, 0, "inf"),
+        "bus-id-nan": cell(5, 0, "nan"),
+        "bus-id-fraction": cell(5, 0, "2.7"),
+        "bus-type-inf": cell(4, 1, "Inf"),
+        "gen-bus-inf": cell(8, 0, "inf"),
+        "branch-from-bus-nan": cell(11, 0, "NaN"),
+        "branch-to-bus-inf": cell(11, 1, "inf"),
+    }
+
+
+@pytest.mark.parametrize("text, line", [pytest.param(*v, id=n) for n, v in _case_variants().items()])
+def test_non_integral_id_columns_are_case_format_errors(text, line):
+    with pytest.raises(CaseFormatError, match="must be an integer") as info:
+        parse_case(text)
+    assert info.value.line == line
 
 
 def test_checksum_is_stable_and_content_sensitive():

@@ -31,6 +31,14 @@ def sick_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def unloaded_file(tmp_path):
+    """Valid two-bus case without load: every flow, and so every eco matrix, is zero."""
+    p = tmp_path / "unloaded.m"
+    p.write_text(TWOBUS_PQ_TEXT.replace("2\t1\t100", "2\t1\t0"))
+    return str(p)
+
+
 class TestPf:
     def test_json_payload_and_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "pf.json"
@@ -100,6 +108,11 @@ class TestReco:
 
     def test_requires_flow_and_mode_without_all(self, capsys):
         assert main(["reco", "--case", IEEE24]) == 1
+
+    def test_json_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["reco", "--case", TWOBUS, "--all", "--json"])
+        assert info.value.code == 2
 
 
 class TestMatrixCommand:
@@ -202,6 +215,23 @@ class TestReportCommand:
 def test_divergence_exits_one_with_error_line(command, sick_file, capsys):
     assert main([command, "--case", sick_file]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["pf", "--case", TWOBUS, "--tol", "0"], "tolerance must be > 0", id="pf-tol-0"),
+    pytest.param(["pf", "--case", TWOBUS, "--max-iter", "0"], "max_iterations must be >= 1",
+                 id="pf-max-iter-0"),
+    pytest.param(["contingency", "--case", TWOBUS, "--depth", "1", "--cap", "-1"],
+                 "cap must be >= 0, got -1", id="contingency-cap-negative"),
+    pytest.param(["contingency", "--case", TWOBUS, "--depth", "1", "--classes", "foo"],
+                 "unknown component class 'foo'", id="contingency-classes-foo"),
+    pytest.param(["reco", "--case", "{unloaded}", "--all"], "all-zero matrix", id="reco-unloaded"),
+    pytest.param(["stats", "--case", "{unloaded}"], "all-zero matrix", id="stats-unloaded"),
+])
+def test_data_errors_exit_one_with_error_line(argv, message, unloaded_file, capsys):
+    assert main([a.format(unloaded=unloaded_file) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_programming_errors_are_not_reported_as_data_errors(monkeypatch):

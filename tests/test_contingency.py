@@ -6,8 +6,8 @@ import math
 
 import pytest
 
+from ecogrid import contingency
 from ecogrid.contingency import (
-    ContingencySpec,
     ViolationKind,
     enumerate_contingencies,
     evaluate,
@@ -37,23 +37,23 @@ def star_network():
 
 class TestEnumerate:
     def test_depth1_branch_count_on_ieee24(self, ieee24):
-        specs = enumerate_contingencies(ieee24, 1, classes=("branch",))
-        assert len(specs) == 38
-        assert all(s.depth == 1 for s in specs)
+        outages = enumerate_contingencies(ieee24, 1, classes=("branch",))
+        assert len(outages) == 38
+        assert all(o.size == 1 for o in outages)
 
     def test_depth1_both_classes_counts_add(self, ieee24):
-        specs = enumerate_contingencies(ieee24, 1, classes=("branch", "gen"))
-        assert len(specs) == 38 + 33
+        outages = enumerate_contingencies(ieee24, 1, classes=("branch", "gen"))
+        assert len(outages) == 38 + 33
 
     def test_depth2_binomial_count(self, ieee24):
-        specs = enumerate_contingencies(ieee24, 2, classes=("branch",))
-        assert len(specs) == math.comb(38, 2) == 703
+        outages = enumerate_contingencies(ieee24, 2, classes=("branch",))
+        assert len(outages) == math.comb(38, 2) == 703
 
     def test_lexicographic_order_matches_itertools(self, ieee24):
-        specs = enumerate_contingencies(ieee24, 2, classes=("branch",))
+        outages = enumerate_contingencies(ieee24, 2, classes=("branch",))
         ids = [br.id for br in ieee24.in_service_branches]
         expected = [frozenset(c) for c in itertools.combinations(ids, 2)]
-        assert [s.outage.branch_ids for s in specs] == expected
+        assert [o.branch_ids for o in outages] == expected
 
     def test_cap_sampling_is_seeded_and_reproducible(self, ieee24):
         a = enumerate_contingencies(ieee24, 2, classes=("branch",), cap=50, seed=7)
@@ -63,7 +63,7 @@ class TestEnumerate:
         assert len(a) == 50
         assert a != c
         full = enumerate_contingencies(ieee24, 2, classes=("branch",))
-        assert set(map(lambda s: s.outage, a)) <= set(map(lambda s: s.outage, full))
+        assert set(a) <= set(full)
 
     def test_cap_larger_than_total_is_exhaustive(self, ieee24):
         assert len(enumerate_contingencies(ieee24, 1, classes=("branch",), cap=1000)) == 38
@@ -72,22 +72,26 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="exceeds"):
             enumerate_contingencies(star_network(), 5, classes=("branch",))
 
+    def test_negative_cap_rejected(self, ieee24):
+        with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+            enumerate_contingencies(ieee24, 1, cap=-1)
+
     def test_out_of_service_elements_are_not_candidates(self, ieee24):
         from ecogrid.model import apply_outage
 
         reduced = apply_outage(ieee24, OutageSet.of(branches=[1, 2]))
-        specs = enumerate_contingencies(reduced, 1, classes=("branch",))
-        assert len(specs) == 36
+        outages = enumerate_contingencies(reduced, 1, classes=("branch",))
+        assert len(outages) == 36
 
 
 class TestEvaluate:
     def test_zero_flow_radial_branch_is_clean(self):
-        result = evaluate(star_network(), ContingencySpec(OutageSet.of(branches=[2])))
+        result = evaluate(star_network(), OutageSet.of(branches=[2]))
         assert result.status == "solved"
         assert result.violations == ()
 
     def test_isolated_load_island_is_shed_not_unsolved(self):
-        result = evaluate(star_network(), ContingencySpec(OutageSet.of(branches=[3])))
+        result = evaluate(star_network(), OutageSet.of(branches=[3]))
         assert result.status == "solved"
         assert len(result.violations) == 1
         v = result.violations[0]
@@ -96,13 +100,13 @@ class TestEvaluate:
         assert v.magnitude == pytest.approx(50.0)
 
     def test_two_bus_tie_outage_sheds_the_whole_load(self, twobus_pq):
-        result = evaluate(twobus_pq, ContingencySpec(OutageSet.of(branches=[1])))
+        result = evaluate(twobus_pq, OutageSet.of(branches=[1]))
         assert result.status == "solved"
         assert [v.kind for v in result.violations] == [ViolationKind.ISLAND_LOAD_SHED]
         assert result.violations[0].magnitude == pytest.approx(100.0)
 
     def test_losing_the_only_slack_unit_is_unsolved(self, twobus_pq):
-        result = evaluate(twobus_pq, ContingencySpec(OutageSet.of(generators=[1])))
+        result = evaluate(twobus_pq, OutageSet.of(generators=[1]))
         assert result.status == "unsolved"
         assert result.violations == ()
 
@@ -111,7 +115,7 @@ class TestEvaluate:
         gens = (dataclasses.replace(net.generators[0], P_max=60.0),)  # 80 MW load
         result = evaluate(
             dataclasses.replace(net, generators=gens),
-            ContingencySpec(OutageSet.of(branches=[2])),
+            OutageSet.of(branches=[2]),
         )
         assert result.status == "unsolved"
 
@@ -123,7 +127,7 @@ class TestEvaluate:
         )
         result = evaluate(
             dataclasses.replace(net, branches=branches),
-            ContingencySpec(OutageSet.of(branches=[2])),
+            OutageSet.of(branches=[2]),
         )
         assert result.status == "solved"
         kinds = {v.kind for v in result.violations}
@@ -136,7 +140,7 @@ class TestEvaluate:
         )
         result = evaluate(
             dataclasses.replace(net, branches=branches),
-            ContingencySpec(OutageSet.of(branches=[1])),
+            OutageSet.of(branches=[1]),
         )
         assert result.status == "solved"
         over = [v for v in result.violations if v.kind is ViolationKind.BRANCH_OVERLOAD]
@@ -180,8 +184,24 @@ class TestSurvivability:
         r4 = survivability(ieee24, 2, jobs=4, **kwargs)
         assert r1 == r2 == r4
 
+    @pytest.mark.parametrize("depth, cap, message", [
+        pytest.param(999, None, r"^depth 999 exceeds the 71 available in-service elements$",
+                     id="depth-999"),
+        pytest.param(72, 10, r"^depth 72 exceeds the 71 available in-service elements$",
+                     id="depth-72-capped"),
+        pytest.param(2, -1, r"^cap must be >= 0, got -1$", id="cap-negative"),
+    ])
+    def test_bad_bounds_are_rejected_before_any_evaluation(self, ieee24, monkeypatch,
+                                                           depth, cap, message):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("a contingency was evaluated before the bounds were checked")
+
+        monkeypatch.setattr(contingency, "evaluate", no_evaluation)
+        with pytest.raises(ValueError, match=message):
+            survivability(ieee24, depth, cap=cap)
+
     def test_parallel_results_match_serial_per_contingency(self, ieee24):
-        specs = enumerate_contingencies(ieee24, 1, classes=("branch",))[:12]
-        serial = evaluate_all(ieee24, specs, SolverOptions(), jobs=1)
-        parallel = evaluate_all(ieee24, specs, SolverOptions(), jobs=3)
+        outages = enumerate_contingencies(ieee24, 1, classes=("branch",))[:12]
+        serial = evaluate_all(ieee24, outages, SolverOptions(), jobs=1)
+        parallel = evaluate_all(ieee24, outages, SolverOptions(), jobs=3)
         assert serial == parallel

@@ -1,4 +1,4 @@
-"""Metric primitives against hand computations, a brute-force oracle and the
+"""Metrics against hand computations, a brute-force oracle and the
 three-pass reference implementation."""
 
 import dataclasses
@@ -9,16 +9,7 @@ import pytest
 
 from conftest import random_network
 from ecogrid.ecomatrix import FlowType, RedundancyMode, build_eco_matrix, conservation_report
-from ecogrid.ecometrics import (
-    EcoMetrics,
-    ascendency,
-    development_capacity,
-    indeterminacy,
-    metrics,
-    robustness,
-    surprisal,
-    tstp,
-)
+from ecogrid.ecometrics import EcoMetrics, metrics, robustness
 from ecogrid.model import OutageSet, apply_outage
 from ecogrid.powerflow import PowerFlowError, solve
 
@@ -90,12 +81,6 @@ def reference_metrics(T) -> EcoMetrics:
     return EcoMetrics(tstp=total, asc=asc, dc=dc, ratio=ratio, robustness=robustness(asc, dc))
 
 
-PAIRS = [
-    (tstp, reference_tstp),
-    (ascendency, reference_ascendency),
-    (development_capacity, reference_development_capacity),
-    (metrics, reference_metrics),
-]
 ALL_COMBOS = [(f, m) for f in FlowType for m in RedundancyMode]
 
 
@@ -105,14 +90,11 @@ def _outcome(fn, T):
         result = fn(T)
     except ValueError as exc:
         return str(exc)
-    if isinstance(result, EcoMetrics):
-        return tuple(float(getattr(result, f.name)).hex() for f in dataclasses.fields(result))
-    return float(result).hex()
+    return tuple(float(getattr(result, f.name)).hex() for f in dataclasses.fields(result))
 
 
 def assert_matches_reference(T):
-    for fn, ref in PAIRS:
-        assert _outcome(fn, T) == _outcome(ref, T), fn.__name__
+    assert _outcome(metrics, T) == _outcome(reference_metrics, T)
 
 
 def chain_matrix():
@@ -124,60 +106,29 @@ def chain_matrix():
     return T
 
 
-class TestPrimitives:
-    def test_surprisal_values(self):
-        assert surprisal(1.0) == 0.0
-        assert surprisal(1 / math.e) == pytest.approx(1.0)
-        assert surprisal(0.5) == pytest.approx(math.log(2))
-        assert surprisal(0.5, k=2.0) == pytest.approx(2 * math.log(2))
-
-    def test_surprisal_domain(self):
-        for bad in (0.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                surprisal(bad)
-        with pytest.raises(ValueError):
-            surprisal(0.5, k=0.0)
-
-    def test_indeterminacy_values(self):
-        assert indeterminacy(0.0) == 0.0
-        assert indeterminacy(1.0) == 0.0
-        assert indeterminacy(1 / math.e) == pytest.approx(1 / math.e)
-        assert indeterminacy(0.5) == pytest.approx(0.346574, abs=1e-6)
-
-    def test_indeterminacy_peaks_at_1_over_e(self):
-        grid = np.linspace(0.001, 1.0, 1000)
-        values = [indeterminacy(p) for p in grid]
-        assert max(values) <= indeterminacy(1 / math.e) + 1e-12
-
-    def test_indeterminacy_domain(self):
-        with pytest.raises(ValueError):
-            indeterminacy(-0.01)
-        with pytest.raises(ValueError):
-            indeterminacy(1.01)
-
-
 class TestTstp:
     def test_zero_single_and_chain(self):
-        assert tstp(np.zeros((3, 3))) == 0.0
+        with pytest.raises(ValueError, match="TSTp = 0"):
+            metrics(np.zeros((3, 3)))
         T = np.zeros((3, 3))
         T[0, 1] = 5.0
-        assert tstp(T) == 5.0
-        assert tstp(chain_matrix()) == 3.0
+        assert metrics(T).tstp == 5.0
+        assert metrics(chain_matrix()).tstp == 3.0
 
     def test_negative_entry_rejected(self):
         T = np.zeros((2, 2))
         T[0, 1] = -1.0
         with pytest.raises(ValueError, match="negative"):
-            tstp(T)
+            metrics(T)
 
 
 class TestAscDc:
     def test_deterministic_chain(self):
         T = chain_matrix()
         expected = 3 * math.log2(3)  # 4.754887502...
-        assert ascendency(T) == pytest.approx(expected, rel=1e-12)
-        assert development_capacity(T) == pytest.approx(expected, rel=1e-12)
         m = metrics(T)
+        assert m.asc == pytest.approx(expected, rel=1e-12)
+        assert m.dc == pytest.approx(expected, rel=1e-12)
         assert m.ratio == pytest.approx(1.0)
         assert m.robustness == pytest.approx(0.0, abs=1e-12)
 
@@ -199,9 +150,9 @@ class TestAscDc:
     def test_single_entry_is_fully_determined(self):
         T = np.zeros((4, 4))
         T[1, 2] = 7.0
-        assert ascendency(T) == pytest.approx(0.0, abs=1e-12)
-        assert development_capacity(T) == pytest.approx(0.0, abs=1e-12)
         m = metrics(T)
+        assert m.asc == pytest.approx(0.0, abs=1e-12)
+        assert m.dc == pytest.approx(0.0, abs=1e-12)
         assert m.ratio == 1.0 and m.robustness == 0.0
 
     def test_uniform_entries_entropy(self):
@@ -210,16 +161,12 @@ class TestAscDc:
             T = np.zeros((4, 4))
             flat = rng.choice(16, size=n_entries, replace=False)
             T.flat[flat] = 2.5
-            assert development_capacity(T) == pytest.approx(
+            assert metrics(T).dc == pytest.approx(
                 T.sum() * math.log2(n_entries), rel=1e-12
             )
 
     def test_all_zero_matrix_is_an_error(self):
-        with pytest.raises(ValueError, match="TSTp = 0"):
-            ascendency(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="TSTp = 0"):
-            development_capacity(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="TSTp = 0"):
+        with pytest.raises(ValueError, match=r"^metrics undefined for an all-zero matrix \(TSTp = 0\)$"):
             metrics(np.zeros((3, 3)))
 
 

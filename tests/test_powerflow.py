@@ -37,7 +37,7 @@ def two_bus(load_p=100.0, load_q=0.0, r=0.0, x=0.1, receiving_pv=False, q_max=30
 class TestAdmittance:
     def test_single_reactance_branch_entries(self):
         net = two_bus()
-        Y = build_admittance(net).matrix.toarray()
+        Y = build_admittance(net).toarray()
         assert Y[0, 1] == pytest.approx(10j)
         assert Y[1, 0] == pytest.approx(10j)
         assert Y[0, 0] == pytest.approx(-10j)
@@ -48,13 +48,13 @@ class TestAdmittance:
         shunted = dataclasses.replace(
             net, buses=(dataclasses.replace(net.buses[0], shunt_B=20.0), net.buses[1])
         )
-        y0 = build_admittance(net).matrix.toarray()[0, 0]
-        y1 = build_admittance(shunted).matrix.toarray()[0, 0]
+        y0 = build_admittance(net).toarray()[0, 0]
+        y1 = build_admittance(shunted).toarray()[0, 0]
         assert (y1 - y0).imag == pytest.approx(0.2)  # 20 Mvar on 100 MVA base
         assert (y1 - y0).real == pytest.approx(0.0)
 
     def test_ieee24_structural_nonzeros(self, ieee24):
-        Y = build_admittance(ieee24).matrix
+        Y = build_admittance(ieee24)
         pairs = {frozenset((br.from_bus, br.to_bus)) for br in ieee24.in_service_branches}
         assert Y.nnz == 24 + 2 * len(pairs)
         assert Y.nnz <= 24 + 2 * 38
@@ -68,7 +68,7 @@ class TestAdmittance:
     def test_tap_is_applied_on_the_from_side(self):
         br = Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.1, tap_ratio=1.05)
         net = dataclasses.replace(two_bus(), branches=(br,))
-        Y = build_admittance(net).matrix.toarray()
+        Y = build_admittance(net).toarray()
         assert Y[0, 0] == pytest.approx(-10j / 1.05**2)
         assert Y[1, 1] == pytest.approx(-10j)
         assert Y[0, 1] == pytest.approx(10j / 1.05)
@@ -413,7 +413,7 @@ class TestJacobian:
         gens = (Generator(id=1, bus=1, P_out=30.0, Q_min=-100, Q_max=100, P_max=100),)
         branches = (*cancelling, Branch(id=3, from_bus=1, to_bus=3, r=0.01, x=0.1))
         net = Network("cancel", 100.0, buses, gens, branches)
-        Y = build_admittance(net).matrix
+        Y = build_admittance(net)
         assert 0 in Y.data
         rng = np.random.default_rng(1)
         assert assert_kernel_matches_reference_along_solve(monkeypatch, net, rng) > 2
@@ -429,7 +429,7 @@ class TestJacobian:
             ids = [b.id for b in net.buses]
             vm = {b: float(rng.uniform(0.97, 1.03)) for b in ids}
             va = {b: float(rng.uniform(-0.1, 0.1)) for b in ids}
-            Y = build_admittance(net).matrix
+            Y = build_admittance(net)
             V = np.array([vm[b] * np.exp(1j * va[b]) for b in ids])
             dS_dVa, dS_dVm = kernel_dSbus_dV(Y, V)
             h = 1e-6
