@@ -154,8 +154,8 @@ def enumerate_contingencies(
     combinations is drawn with the given seed (then re-sorted), so any
     (network, depth, classes, cap, seed) tuple is reproducible.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     elements = _candidates(network, _normalize_classes(classes), depth)
     n = len(elements)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ecometrics import pairwise_sums
 from .model import Network
 from .powerflow import PowerFlowSolution
 
@@ -56,15 +57,25 @@ class RedundancyMode(enum.Enum):
 
 @dataclass(eq=False)
 class EcoFlowMatrix:
-    """Square (A+3)x(A+3) nonnegative flow matrix over actors + environs."""
+    """Square (A+3)x(A+3) nonnegative flow matrix over actors + environs,
+    stored as its nonzero entries: index arrays i, j and flows t, row-major."""
 
     actor_labels: tuple[tuple[str, int], ...]
-    values: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     units: str
 
     @property
     def n_actors(self) -> int:
         return len(self.actor_labels)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense matrix, built anew on each read."""
+        n = self.n_actors + 3
+        values = np.zeros((n, n))
+        i, j, t = self.entries
+        values[i, j] = t
+        return values
 
     @property
     def input_index(self) -> int:
@@ -90,8 +101,8 @@ class _Builder:
     def __init__(self, labels, units):
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        n = len(self.labels) + 3
-        self.T = np.zeros((n, n))
+        self.n = n = len(self.labels) + 3
+        self.flows: dict[int, float] = {}  # i * n + j -> T[i, j], summed in insertion order
         self.input = n - 3
         self.export = n - 2
         self.dissipation = n - 1
@@ -99,7 +110,8 @@ class _Builder:
 
     def add(self, i: int, j: int, value: float):
         if value != 0.0:
-            self.T[i, j] += value
+            k = i * self.n + j
+            self.flows[k] = self.flows.get(k, 0.0) + value
 
     def device(self, actor: int, bus: int, value: float, absorbed_to: int):
         """Source devices feed input->device->bus; sinks bus->device->boundary."""
@@ -140,16 +152,31 @@ class _Builder:
         elif value < 0.0:
             self.add(self.input, bus, -value)
 
-    def balance_bus(self, bus: int):
-        """Close the bus balance through the boundary (apparent flow only)."""
-        residual = self.T[:, bus].sum() - self.T[bus, :].sum()
-        if residual > 0.0:
-            self.add(bus, self.dissipation, residual)
-        elif residual < 0.0:
-            self.add(self.input, bus, -residual)
+    def balance_buses(self, buses):
+        """Close each bus balance through the boundary (apparent flow only).
+        Closing a bus touches no other bus's row or column, so every residual
+        (dense column sum minus row sum) comes from the matrix before balancing."""
+        i, j, t = self.entries()
+        row = pairwise_sums(i, j, t, self.n, self.n)
+        by_col = np.lexsort((i, j))
+        col = pairwise_sums(j[by_col], i[by_col], t[by_col], self.n, self.n)
+        for bus in buses:
+            residual = col[bus] - row[bus]
+            if residual > 0.0:
+                self.add(bus, self.dissipation, residual)
+            elif residual < 0.0:
+                self.add(self.input, bus, -residual)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """i, j, t of the nonzero entries, row-major."""
+        keys = np.fromiter(self.flows, dtype=np.intp, count=len(self.flows))
+        t = np.fromiter(self.flows.values(), dtype=float, count=len(self.flows))
+        order = np.argsort(keys)
+        i, j = np.divmod(keys[order], self.n)
+        return i, j, t[order]
 
     def finish(self) -> EcoFlowMatrix:
-        return EcoFlowMatrix(actor_labels=self.labels, values=self.T, units=self.units)
+        return EcoFlowMatrix(actor_labels=self.labels, entries=self.entries(), units=self.units)
 
 
 def build_eco_matrix(
@@ -236,17 +263,18 @@ def build_eco_matrix(
     if flow is FlowType.APPARENT:
         # apparent magnitudes are not nodally additive: phase cancellation
         # at each bus is closed out through the boundary
-        for bid in bus_ids:
-            b.balance_bus(bus_idx[bid])
+        b.balance_buses([bus_idx[bid] for bid in bus_ids])
 
     return b.finish()
 
 
 def actor_imbalances(matrix: EcoFlowMatrix) -> np.ndarray:
-    """|inflow - outflow| per actor, in matrix units."""
-    a = matrix.n_actors
-    inflow = matrix.values[:, :a].sum(axis=0)
-    outflow = matrix.values[:a, :].sum(axis=1)
+    """|inflow - outflow| per actor, in matrix units, equal to the dense
+    column sums (added in row order) minus the dense row sums."""
+    a, n = matrix.n_actors, matrix.n_actors + 3
+    i, j, t = matrix.entries
+    inflow = np.bincount(j, weights=t, minlength=n)[:a]
+    outflow = pairwise_sums(i, j, t, n, n)[:a]
     return np.abs(inflow - outflow)
 
 
@@ -255,7 +283,9 @@ def conservation_report(
 ) -> list[tuple[tuple[str, int], float]]:
     """Actors whose imbalance exceeds rel_tol * TSTp (empty when conserved)."""
     imbalances = actor_imbalances(matrix)
-    threshold = rel_tol * matrix.values.sum()
+    n = matrix.n_actors + 3
+    i, j, t = matrix.entries
+    threshold = rel_tol * pairwise_sums(np.zeros_like(i), i * n + j, t, n * n, 1)[0]
     return [
         (label, float(imb))
         for label, imb in zip(matrix.actor_labels, imbalances)
@@ -297,4 +327,5 @@ def import_matrix(text: str) -> EcoFlowMatrix:
         if len(cells) != n + 1:
             raise ValueError(f"row {i + 2}: expected {n + 1} cells, got {len(cells)}")
         values[i] = [float(c) for c in cells[1:]]
-    return EcoFlowMatrix(actor_labels=tuple(actor_labels), values=values, units=units)
+    i, j = np.nonzero(values)
+    return EcoFlowMatrix(actor_labels=tuple(actor_labels), entries=(i, j, values[i, j]), units=units)

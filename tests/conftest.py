@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,21 @@ def ieee24() -> Network:
 def ieee24_checksum() -> str:
     _, checksum = load_case(case_path("ieee24_rts"))
     return checksum
+
+
+@pytest.fixture(scope="session")
+def tiled10():
+    """The benchmark's 10-tile (240-bus) case at seed 0 and its solution."""
+    from ecogrid.powerflow import solve
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tiled.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tiled", path)
+    tiled = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tiled)
+    network = parse_case(tiled.TiledCases().text(10, 0))
+    solution = solve(network)
+    assert solution.converged
+    return network, solution
 
 
 @pytest.fixture

@@ -222,7 +222,9 @@ def test_divergence_exits_one_with_error_line(command, sick_file, capsys):
     pytest.param(["pf", "--case", TWOBUS, "--max-iter", "0"], "max_iterations must be >= 1",
                  id="pf-max-iter-0"),
     pytest.param(["contingency", "--case", TWOBUS, "--depth", "1", "--cap", "-1"],
-                 "cap must be >= 0, got -1", id="contingency-cap-negative"),
+                 "cap must be >= 1, got -1", id="contingency-cap-negative"),
+    pytest.param(["contingency", "--case", TWOBUS, "--depth", "1", "--cap", "0"],
+                 "cap must be >= 1, got 0", id="contingency-cap-zero"),
     pytest.param(["contingency", "--case", TWOBUS, "--depth", "1", "--classes", "foo"],
                  "unknown component class 'foo'", id="contingency-classes-foo"),
     pytest.param(["reco", "--case", "{unloaded}", "--all"], "all-zero matrix", id="reco-unloaded"),

@@ -73,8 +73,13 @@ class TestEnumerate:
             enumerate_contingencies(star_network(), 5, classes=("branch",))
 
     def test_negative_cap_rejected(self, ieee24):
-        with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match=r"^cap must be >= 1, got -1$"):
             enumerate_contingencies(ieee24, 1, cap=-1)
+
+    def test_zero_cap_rejected(self, ieee24):
+        # a zero cap would sample no contingency and report a clean grid
+        with pytest.raises(ValueError, match=r"^cap must be >= 1, got 0$"):
+            enumerate_contingencies(ieee24, 1, cap=0)
 
     def test_out_of_service_elements_are_not_candidates(self, ieee24):
         from ecogrid.model import apply_outage
@@ -189,7 +194,8 @@ class TestSurvivability:
                      id="depth-999"),
         pytest.param(72, 10, r"^depth 72 exceeds the 71 available in-service elements$",
                      id="depth-72-capped"),
-        pytest.param(2, -1, r"^cap must be >= 0, got -1$", id="cap-negative"),
+        pytest.param(2, -1, r"^cap must be >= 1, got -1$", id="cap-negative"),
+        pytest.param(2, 0, r"^cap must be >= 1, got 0$", id="cap-zero"),
     ])
     def test_bad_bounds_are_rejected_before_any_evaluation(self, ieee24, monkeypatch,
                                                            depth, cap, message):

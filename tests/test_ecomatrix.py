@@ -1,6 +1,7 @@
 """Flow-matrix construction: entry conventions, conservation, CSV round-trip."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from ecogrid.ecomatrix import (
     export_matrix,
     import_matrix,
 )
-from ecogrid.model import Branch, Bus, BusKind, Generator, Network
+from ecogrid.ecometrics import metrics
+from ecogrid.model import Branch, Bus, BusKind, Generator, Network, OutageSet, apply_outage
 from ecogrid.powerflow import solve
 
 ALL_COMBOS = [(f, m) for f in FlowType for m in RedundancyMode]
@@ -322,8 +324,11 @@ class TestConservationReport:
         m = build_eco_matrix(net, solved(net), FlowType.REAL, RedundancyMode.AGGREGATE)
         b1 = m.actor_index("bus", 1)
         b2 = m.actor_index("bus", 2)
-        m.values[b1, b2] += 1.0
-        flagged = conservation_report(m, rel_tol=1e-6)
+        values = m.values
+        values[b1, b2] += 1.0
+        i, j = np.nonzero(values)
+        perturbed = dataclasses.replace(m, entries=(i, j, values[i, j]))
+        flagged = conservation_report(perturbed, rel_tol=1e-6)
         assert sorted(label for label, _ in flagged) == [("bus", 1), ("bus", 2)]
         for _, magnitude in flagged:
             assert magnitude == pytest.approx(1.0, abs=1e-6)
@@ -333,6 +338,76 @@ class TestConservationReport:
             ieee24, solved(ieee24), FlowType.REACTIVE, RedundancyMode.SPLIT
         )
         assert conservation_report(m, rel_tol=1e-6) == []
+
+
+def dense_imbalances(matrix):
+    """The dense formula: axis-0 sums of the actor columns minus the actor row sums."""
+    values, a = matrix.values, matrix.n_actors
+    return np.abs(values[:, :a].sum(axis=0) - values[:a, :].sum(axis=1))
+
+
+def dense_conservation_report(matrix, rel_tol):
+    threshold = rel_tol * matrix.values.sum()
+    return [(label, float(imb)) for label, imb in zip(matrix.actor_labels, dense_imbalances(matrix))
+            if imb > threshold]
+
+
+class TestConservationFromStoredEntries:
+    """actor_imbalances and conservation_report read the stored entries and
+    equal the dense formulas bit for bit; rel_tol 1e-15 flags rounding-level
+    imbalances, so the threshold comparison is exercised too."""
+
+    @staticmethod
+    def assert_dense_equal(matrix):
+        assert actor_imbalances(matrix).tobytes() == dense_imbalances(matrix).tobytes()
+        for rel_tol in (1e-6, 1e-15):
+            got = conservation_report(matrix, rel_tol)
+            assert [(lab, v.hex()) for lab, v in got] == [
+                (lab, v.hex()) for lab, v in dense_conservation_report(matrix, rel_tol)]
+
+    def test_ieee24_base_and_every_n1_outage(self, ieee24):
+        outages = [OutageSet()]
+        outages += [OutageSet.of(branches=[b.id]) for b in ieee24.branches]
+        outages += [OutageSet.of(generators=[g.id]) for g in ieee24.generators]
+        flagged = 0
+        for outage in outages:
+            network = apply_outage(ieee24, outage)
+            sol = solve(network)
+            if not sol.converged:
+                continue
+            for flow, mode in ALL_COMBOS:
+                for absorbed_gen_q in ("dissipation", "export"):
+                    m = build_eco_matrix(network, sol, flow, mode, absorbed_gen_q=absorbed_gen_q)
+                    self.assert_dense_equal(m)
+                    flagged += len(conservation_report(m, 1e-15))
+        assert flagged > 0
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(707)
+        solved_count = 0
+        for _ in range(60):
+            network = random_network(rng)
+            sol = solve(network)
+            if not sol.converged:
+                continue
+            solved_count += 1
+            for flow, mode in ALL_COMBOS:
+                self.assert_dense_equal(build_eco_matrix(network, sol, flow, mode))
+        assert solved_count >= 40
+
+
+def test_building_and_scoring_never_allocate_the_dense_matrix(tiled10):
+    network, sol = tiled10
+    tracemalloc.start()
+    try:
+        m = build_eco_matrix(network, sol, FlowType.APPARENT, RedundancyMode.SPLIT)
+        metrics(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = m.n_actors + 3
+    assert n == 583
+    assert peak < n * n * 8 / 4
 
 
 class TestCsv:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_network
 from ecogrid.ecomatrix import FlowType, RedundancyMode, build_eco_matrix, conservation_report
-from ecogrid.ecometrics import EcoMetrics, metrics, robustness
+from ecogrid.ecometrics import EcoMetrics, metrics, pairwise_sums, robustness
 from ecogrid.model import OutageSet, apply_outage
 from ecogrid.powerflow import PowerFlowError, solve
 
@@ -329,6 +329,59 @@ def test_bincount_column_sums_equal_axis0_sums():
         i, j = np.nonzero(values != 0)
         t = values[i, j]
         assert np.array_equal(np.bincount(j, weights=t, minlength=n), values.sum(axis=0))
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_numpy_sums(values):
+    """pairwise_sums over the nonzero entries gives numpy's dense total, row
+    sums and strided column sums, hex for hex."""
+    n = len(values)
+    i, j = np.nonzero(values)
+    t = values[i, j]
+    total = pairwise_sums(np.zeros_like(i), i * n + j, t, n * n, 1)
+    assert _hexes(total) == _hexes([values.sum()])
+    assert _hexes(pairwise_sums(i, j, t, n, n)) == _hexes(values.sum(axis=1))
+    by_col = np.lexsort((i, j))
+    cols = pairwise_sums(j[by_col], i[by_col], t[by_col], n, n)
+    assert _hexes(cols) == _hexes([values[:, c].sum() for c in range(n)])
+
+
+class TestPairwiseSums:
+    """The total and row sums of metrics, and the column sums that close the
+    apparent-flow bus balances, rely on pairwise_sums reproducing numpy's
+    pairwise summation (8 lanes, blocks of 128) from the entries alone."""
+
+    # 1, 7: sequential; 8-128: one leaf of 8 lanes and a tail; 129+: split.
+    # n*n crosses numpy's 8192-element buffer between 90 and 91.
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 90, 91, 127, 128, 129, 136, 600])
+    @pytest.mark.parametrize("density", [0.0005, 0.01, 0.1, 0.5])
+    def test_seeded_matrices(self, n, density):
+        rng = np.random.default_rng([n, int(density * 10000)])
+        values = rng.lognormal(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < density)
+        values[0, :2] = 1.0 / 3.0  # at least one nonzero entry
+        assert_numpy_sums(values)
+
+    @pytest.mark.parametrize("n", [9, 128, 129, 257, 1000])
+    def test_dense_matrices(self, n):
+        assert_numpy_sums(np.random.default_rng(n).lognormal(0.0, 3.0, size=(n, n)))
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_negative_zeros_beside_positive_entries(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.lognormal(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < 0.3)
+        rows, cols = values.any(axis=1), values.any(axis=0)
+        spare = (values == 0) & rows[:, None] & cols[None, :] & (rng.random((n, n)) < 0.3)
+        values[spare] = -0.0
+        assert np.signbit(values).any()
+        assert_numpy_sums(values)
+
+    def test_ten_tile_case_matrices(self, tiled10):
+        network, sol = tiled10
+        for flow, mode in ALL_COMBOS:
+            assert_numpy_sums(build_eco_matrix(network, sol, flow, mode).values)
 
 
 def _solved_outaged_random_networks(rng, count):
